@@ -43,8 +43,10 @@ from .harness import (
 from .levy import (
     LevyPath,
     LocalTimeEstimate,
+    local_time_constant,
     local_time_zero,
     sample_limit_rv,
+    sample_local_time_exact,
     simulate_levy,
 )
 from .rng import spawn_rng

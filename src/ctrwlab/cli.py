@@ -182,7 +182,7 @@ def cmd_simulate(jump_kind, jump_alpha, jump_xmin, jump_variance, jump_pright,
 @click.option("--beta", type=float, default=0.0, show_default=True)
 @click.option("--grid-n", type=int, default=100_000, show_default=True)
 @click.option("--horizon", type=float, default=1.0, show_default=True)
-@click.option("--eps", type=float, default=None, help="Defaults to 10 dt^(1-1/alpha).")
+@click.option("--eps", type=float, default=None, help="Defaults to 10 dt^(1/alpha).")
 @click.option("--paths", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--u-grid", default="0.25,0.5,0.75,1.0", show_default=True)
@@ -265,9 +265,9 @@ def cmd_env(check_b3, exp_moment, n_list, moment_a, kernel_kind, amplitude,
 _CONFIG_SCHEMA = {
     "experiment": {
         "theorem", "t", "u_grid", "replicates", "limit_replicates",
-        "master_seed", "workers", "ks_threshold", "limit_grid_per_unit",
-        "limit_eps", "label", "fdd_pairs", "allow_short_horizon",
-        "g_support_halfwidth", "env_window_halfwidth", "escape_probability",
+        "master_seed", "workers", "ks_threshold", "label", "fdd_pairs",
+        "allow_short_horizon", "g_support_halfwidth", "env_window_halfwidth",
+        "escape_probability",
     },
     "jump": {"kind", "alpha", "x_min", "variance", "p_right", "a", "b", "weights"},
     "wait": {"kind", "mean", "index", "x_min", "shape", "scale"},
@@ -367,7 +367,9 @@ def _parse_env(section):
 
 def load_experiment_config(path) -> tuple[ExperimentConfig, dict]:
     """Parse an INI experiment file into an ExperimentConfig plus output paths."""
-    parser = configparser.ConfigParser()
+    # An inline comment needs whitespace before its ";", so the
+    # semicolon-separated fdd_pairs value is left intact.
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -418,8 +420,6 @@ def load_experiment_config(path) -> tuple[ExperimentConfig, dict]:
             else None
         ),
         escape_probability=float(exp.get("escape_probability", "0.01")),
-        limit_grid_per_unit=int(exp.get("limit_grid_per_unit", "100000")),
-        limit_eps=float(exp["limit_eps"]) if exp.get("limit_eps") else None,
         fdd_pairs=fdd_pairs,
         g_support_halfwidth=float(exp.get("g_support_halfwidth", "12.0")),
         label=exp.get("label", ""),

@@ -1,15 +1,23 @@
-"""Grid simulation of stable Levy motion and its local time at zero, and
-sampling of the limiting random variables (constant times local time).
+"""Stable Levy motion, its local time at zero, and sampling of the limiting
+random variables (constant times local time).
 
-The process is simulated from its exact increment law: over a step of
-length dt the increment is stable with scale c = dt in our convention, so
-a standard draw scaled by dt^(1/alpha).  Local time at zero is estimated
-as the occupation time of [-eps, eps] divided by 2 eps, evaluated on the
-simulation grid.
+Two independent routes to the local time are kept:
+
+* ``sample_local_time_exact`` draws the local time at zero exactly.  For
+  alpha in (1, 2] the inverse local time of the strictly stable motion is a
+  positive stable subordinator of index gamma = 1 - 1/alpha, so the zero
+  set can be generated excursion by excursion (regeneration) with no grid.
+  The limit draws of the comparison harness use this route.
+* ``simulate_levy`` plus ``local_time_zero`` simulate the process on a grid
+  from its exact increment law (a standard draw scaled by dt^(1/alpha)) and
+  estimate the local time as the occupation time of [-eps, eps] divided by
+  2 eps.  The ``local-time`` command uses this route, and the tests use it
+  as a cross-check of the exact sampler.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,9 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .rng import RandomSource
-from .stable import StableParams, sample_stable
-
-DEFAULT_GRID_PER_UNIT = 100_000
+from .stable import StableParams, _tan_half_pi, sample_stable
 
 
 @dataclass
@@ -122,6 +128,64 @@ def dump_levy_path(path: LevyPath, destination) -> None:
             fh.write(f"{k} {times[k]:.17g} {path.values[k]:.17g}\n")
 
 
+def local_time_constant(alpha: float, beta: float) -> float:
+    """The constant u1 in L_u = u1 (u/S)^gamma, S positive gamma-stable with
+    E exp(-lam S) = exp(-lam^gamma).
+
+    u1 = Re(c^(-1/alpha)) / (alpha sin(pi/alpha)), c = 1 + i beta
+    tan(pi alpha/2); it makes E L_u equal the integral of the density of
+    Z(s) at zero over s <= u, i.e. L is the occupation density at zero.
+    """
+    StableParams(alpha, beta)
+    c = complex(1.0, beta * _tan_half_pi(alpha))
+    return (c ** (-1.0 / alpha)).real / (alpha * math.sin(math.pi / alpha))
+
+
+def sample_local_time_exact(
+    alpha: float, beta: float, u_grid, rng: RandomSource
+) -> np.ndarray:
+    """One exact draw of the local time at zero at each u of a nondecreasing
+    grid, jointly, for the standard stable motion.
+
+    The sampler keeps a zero z of the process (a regeneration time) and the
+    local time accumulated up to it.  For a target u > z, with s = u - z:
+    the last zero before u is z + g with g = s Beta(gamma, 1 - gamma); given
+    g, the local time gained is u1 (g/X)^gamma with X of density
+    proportional to x^(-gamma) f_S(x); the excursion straddling u is
+    Pareto(gamma) beyond s - g, and its end is the next regeneration time.
+    X comes from Kanter's representation S = (A(U)/E)^((1-gamma)/gamma): the
+    size bias turns E into Gamma(2 - gamma) and weights U by
+    A(U)^(-(1-gamma)), which is decreasing in U and so bounded by its limit
+    gamma^(-gamma) (1-gamma)^(-(1-gamma)) at U -> 0 (rejection).
+    """
+    u1 = local_time_constant(alpha, beta)
+    grid = np.atleast_1d(np.asarray(u_grid, dtype=float)).tolist()
+    if any(not b >= a for a, b in zip([0.0] + grid, grid)):
+        raise DomainError("u_grid must be nonnegative and nondecreasing")
+    gamma = 1.0 - 1.0 / alpha
+    rest = 1.0 - gamma
+    bound = gamma**-gamma * rest**-rest
+    out = np.empty(len(grid))
+    zero = 0.0  # latest regeneration time
+    local = 0.0  # local time accumulated up to it
+    for i, target in enumerate(grid):
+        if zero < target:
+            s = target - zero
+            g = s * rng.beta(gamma, rest)
+            while True:
+                angle = math.pi * (1.0 - rng.random())
+                weight = math.sin(angle) / (
+                    math.sin(gamma * angle) ** gamma * math.sin(rest * angle) ** rest
+                )
+                if bound * rng.random() <= weight:
+                    break
+            # u1 (g/X)^gamma = u1 g^gamma (E/A(U))^(1-gamma)
+            local += u1 * g**gamma * rng.standard_gamma(2.0 - gamma) ** rest * weight
+            zero += g + (s - g) * (1.0 - rng.random()) ** (-1.0 / gamma)
+        out[i] = local
+    return out
+
+
 def sample_limit_rv(
     alpha: float,
     beta: float,
@@ -130,8 +194,6 @@ def sample_limit_rv(
     u_grid,
     rng: RandomSource,
     env_constant: float = 1.0,
-    grid_per_unit: int = DEFAULT_GRID_PER_UNIT,
-    eps: Optional[float] = None,
 ) -> np.ndarray:
     """One draw of the limit vector: constant * local time at each u.
 
@@ -140,16 +202,10 @@ def sample_limit_rv(
     (mean of 1/Lambda)^(1/alpha - 1) factor for a deterministic
     environment, or the averaged-potential factor in the quenched case
     (where f_integral is the integral of g/Lambda over the fixed
-    configuration).
+    configuration).  The local time is drawn exactly by
+    ``sample_local_time_exact``.
     """
     if not mu > 0.0:
         raise DomainError(f"mu must be positive, got {mu}")
-    u = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    horizon = float(np.max(u))
-    grid_n = max(1000, int(round(grid_per_unit * horizon)))
-    path = simulate_levy(alpha, beta, grid_n, horizon, rng)
-    if eps is None:
-        eps = default_eps(alpha, grid_n, horizon)
-    estimates = local_time_zero(path, eps, u)
     constant = mu ** (1.0 / alpha) * f_integral * env_constant
-    return constant * np.array([e.value for e in estimates])
+    return constant * sample_local_time_exact(alpha, beta, u_grid, rng)

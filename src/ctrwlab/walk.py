@@ -120,8 +120,12 @@ class PathSkeleton:
     n_jumps: int
 
     def __post_init__(self):
-        assert len(self.positions) == self.n_jumps + 1
-        assert len(self.holds) == self.n_jumps + 1
+        expected = self.n_jumps + 1
+        if len(self.positions) != expected or len(self.holds) != expected:
+            raise SimulationError(
+                f"skeleton with n_jumps={self.n_jumps} needs {expected} "
+                f"positions and holds, got {len(self.positions)} and {len(self.holds)}"
+            )
 
     @property
     def jump_times(self) -> np.ndarray:
@@ -202,7 +206,7 @@ def simulate_skeleton(
     path = PathSkeleton(
         positions=positions, holds=holds, horizon_t=horizon_t, n_jumps=count
     )
-    assert float(np.sum(holds[:-1])) <= horizon_t < float(np.sum(holds))
+    path.check_bracketing()
     return path
 
 

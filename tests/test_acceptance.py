@@ -274,7 +274,6 @@ replicates = 150
 limit_replicates = 150
 master_seed = 314159
 ks_threshold = 0.2
-limit_grid_per_unit = 5000
 
 [jump]
 kind = gaussian

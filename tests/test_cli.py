@@ -1,9 +1,14 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from ctrwlab.cli import main
+from ctrwlab.cli import load_experiment_config, main
+from ctrwlab.errors import ExperimentConfigError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PASSING_CONFIG = """
 [experiment]
@@ -14,7 +19,6 @@ replicates = 120
 limit_replicates = 120
 master_seed = 20240808
 ks_threshold = 0.2
-limit_grid_per_unit = 5000
 
 [jump]
 kind = gaussian
@@ -177,10 +181,6 @@ class TestCompare:
 
     def test_shipped_configs_parse_to_acceptance_settings(self):
         # the full runs themselves are exercised by the acceptance suite
-        from pathlib import Path
-
-        from ctrwlab.cli import load_experiment_config
-
         root = Path(__file__).resolve().parent.parent / "configs"
         cfg, outputs = load_experiment_config(root / "t2_gauss.cfg")
         cfg.validate()
@@ -192,3 +192,34 @@ class TestCompare:
         cfg5.validate()
         assert cfg5.theorem == "T5" and cfg5.kernel is not None
         assert cfg5.ks_threshold == 0.10
+
+
+class TestConfigParsing:
+    def test_readme_example_parses_as_documented(self, tmp_path):
+        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+        cfg_path = tmp_path / "readme.cfg"
+        cfg_path.write_text(block)
+        cfg, outputs = load_experiment_config(cfg_path)
+        cfg.validate()
+        assert cfg.theorem == "T2" and cfg.workers == 8
+        assert cfg.env is not None and cfg.env.lambda_bar_inv == 2.0
+        assert outputs == {"json": "report.json", "csv": "report.csv"}
+
+    def test_semicolon_separated_fdd_pairs(self, tmp_path):
+        cfg_path = tmp_path / "fdd.cfg"
+        cfg_path.write_text(
+            PASSING_CONFIG.replace(
+                "u_grid = 0.5,1.0", "u_grid = 0.25,0.5,1.0\nfdd_pairs = 0.25,0.5;0.5,1.0"
+            )
+        )
+        cfg, _ = load_experiment_config(cfg_path)
+        assert cfg.fdd_pairs == ((0.25, 0.5), (0.5, 1.0))
+
+    @pytest.mark.parametrize("key", ["limit_grid_per_unit = 5000", "limit_eps = 0.01"])
+    def test_grid_sampler_keys_rejected(self, tmp_path, key):
+        cfg_path = tmp_path / "old.cfg"
+        cfg_path.write_text(
+            PASSING_CONFIG.replace("ks_threshold = 0.2", f"ks_threshold = 0.2\n{key}")
+        )
+        with pytest.raises(ExperimentConfigError, match="unknown key"):
+            load_experiment_config(cfg_path)

@@ -41,7 +41,6 @@ def small_config(**overrides):
         replicates=150,
         limit_replicates=150,
         master_seed=SEED,
-        limit_grid_per_unit=5000,
         ks_threshold=0.2,
     )
     base.update(overrides)
@@ -183,7 +182,6 @@ class TestRunExperiment:
             t=4000.0,
             replicates=400,
             limit_replicates=400,
-            limit_grid_per_unit=20_000,
             ks_threshold=0.15,
         )
         report = run_experiment(cfg)
@@ -200,7 +198,6 @@ class TestRunExperiment:
             t=1000.0,
             replicates=120,
             limit_replicates=120,
-            limit_grid_per_unit=5000,
             ks_threshold=0.3,
         )
         report = run_experiment(cfg)
@@ -222,7 +219,6 @@ class TestRunExperiment:
                     t=t,
                     replicates=300,
                     limit_replicates=300,
-                    limit_grid_per_unit=20_000,
                     ks_threshold=1.0,
                     allow_short_horizon=short,
                 )
@@ -241,7 +237,6 @@ class TestRunExperiment:
             t=1000.0,
             replicates=120,
             limit_replicates=120,
-            limit_grid_per_unit=5000,
             ks_threshold=0.5,
             env_config_seed=991,
         )
@@ -273,8 +268,7 @@ class TestFddJointCheck:
         draws = np.vstack(
             [
                 sample_limit_rv(
-                    1.5, 0.0, 1.0, 1.0, [0.5, 1.0], spawn_rng(SEED, "inc", j),
-                    grid_per_unit=2000,
+                    1.5, 0.0, 1.0, 1.0, [0.5, 1.0], spawn_rng(SEED, "inc", j)
                 )
                 for j in range(200)
             ]
@@ -296,7 +290,7 @@ class TestReports:
         emit_report(report, dest, "json")
         parsed = json.loads(dest.read_text())
         assert parsed == report.to_dict()
-        assert parsed["schema_version"] == "1"
+        assert parsed["schema_version"] == "2"
 
     def test_csv_row_count(self, tmp_path):
         report = run_experiment(small_config())

@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from ctrwlab.distances import ks_two_sample
+from scipy.integrate import quad
+
+from ctrwlab.distances import ks_critical_value, ks_two_sample
 from ctrwlab.errors import DomainError
 from ctrwlab.levy import (
     LevyPath,
     default_eps,
+    local_time_constant,
     local_time_zero,
     sample_limit_rv,
+    sample_local_time_exact,
     simulate_levy,
 )
 from ctrwlab.rng import spawn_rng
@@ -144,34 +148,124 @@ class TestLocalTimeZero:
         assert abs(diffs.mean()) < 3.0 * se
 
 
+class TestExactLocalTime:
+    U = (0.25, 0.5, 0.75, 1.0)
+
+    def draws(self, alpha, beta, n, tag, u=U):
+        rng = spawn_rng(SEED, "exact", tag)
+        return np.vstack(
+            [sample_local_time_exact(alpha, beta, u, rng) for _ in range(n)]
+        )
+
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 0.0), (1.5, 0.0), (1.2, -0.8)])
+    def test_moments_match_closed_form(self, alpha, beta):
+        # E L_u^p = u1^p u^(gamma p) Gamma(1+p) / Gamma(1+gamma p); each
+        # sample moment within 4 standard errors
+        gamma = 1.0 - 1.0 / alpha
+        u1 = local_time_constant(alpha, beta)
+        draws = self.draws(alpha, beta, 20_000, f"moments-{alpha}-{beta}")
+        for i, u in enumerate(self.U):
+            for p in (1, 2):
+                exact = (
+                    u1**p * u ** (gamma * p) * math.gamma(1 + p)
+                    / math.gamma(1 + gamma * p)
+                )
+                sample = draws[:, i] ** p
+                se = sample.std(ddof=1) / math.sqrt(len(sample))
+                assert abs(sample.mean() - exact) < 4.0 * se, (u, p)
+
+    def test_constant_is_occupation_density(self):
+        # E L_1 = u1 / Gamma(1+gamma) must equal the integral over s <= 1 of
+        # the density of Z(s) at zero, s^(-1/alpha) p_1(0), with p_1(0)
+        # taken from the characteristic function
+        for alpha, beta in [(1.5, 0.5), (1.2, -0.8), (1.8, 1.0)]:
+            params = StableParams(alpha, beta)
+            p1, _ = quad(lambda x: stable_chf(params, x).real, 0.0, np.inf)
+            gamma = 1.0 - 1.0 / alpha
+            expected = p1 / math.pi / gamma
+            got = local_time_constant(alpha, beta) / math.gamma(1.0 + gamma)
+            assert got == pytest.approx(expected, rel=1e-7)
+
+    def test_brownian_mean_is_inverse_sqrt_pi(self):
+        closed = local_time_constant(2.0, 0.0) / math.gamma(1.5)
+        assert closed == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
+        ends = self.draws(2.0, 0.0, 20_000, "bm-mean", u=(1.0,))[:, 0]
+        se = ends.std(ddof=1) / math.sqrt(len(ends))
+        assert abs(ends.mean() - 1.0 / math.sqrt(math.pi)) < 4.0 * se
+
+    def test_arcsine_law(self):
+        # at alpha=2 the last zero before 1 is arcsine distributed, so no
+        # local time accrues on (1/2, 1] with probability 1/2
+        draws = self.draws(2.0, 0.0, 20_000, "arcsine", u=(0.5, 1.0))
+        share = float(np.mean(draws[:, 1] == draws[:, 0]))
+        assert abs(share - 0.5) < 4.0 * math.sqrt(0.25 / len(draws))
+
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 0.0), (1.5, 1.0), (1.1, -0.5)])
+    def test_nondecreasing_in_u(self, alpha, beta):
+        draws = self.draws(alpha, beta, 500, f"mono-{alpha}", u=np.linspace(0, 1, 21))
+        assert np.all(draws[:, 0] == 0.0)
+        assert np.all(np.diff(draws, axis=1) >= 0.0)
+
+    def test_same_generator_same_vector(self):
+        a = sample_local_time_exact(1.5, 0.3, self.U, spawn_rng(SEED, "same"))
+        b = sample_local_time_exact(1.5, 0.3, self.U, spawn_rng(SEED, "same"))
+        assert np.array_equal(a, b)
+
+    def test_bad_grid_rejected(self):
+        for u in ([0.5, 0.25], [-0.1, 1.0], [float("nan")]):
+            with pytest.raises(DomainError):
+                sample_local_time_exact(1.5, 0.0, u, spawn_rng(SEED))
+        with pytest.raises(DomainError):
+            sample_local_time_exact(0.9, 0.0, [1.0], spawn_rng(SEED))
+
+    def test_agrees_with_grid_estimator(self):
+        # two-sample KS of the exact draws against grid occupation-time
+        # estimates at alpha=2, per u, under the 99% critical value
+        n_grid, n_exact = 600, 4000
+        grid_n = 10**5
+        eps = default_eps(2.0, grid_n, 1.0)
+        grid = np.array(
+            [
+                [
+                    est.value
+                    for est in local_time_zero(
+                        simulate_levy(2.0, 0.0, grid_n, 1.0, spawn_rng(SEED, "ks-grid", j)),
+                        eps,
+                        [0.5, 1.0],
+                    )
+                ]
+                for j in range(n_grid)
+            ]
+        )
+        exact = self.draws(2.0, 0.0, n_exact, "ks-exact", u=(0.5, 1.0))
+        crit = ks_critical_value(n_grid, n_exact, 0.99)
+        for i in range(2):
+            assert ks_two_sample(grid[:, i], exact[:, i]) < crit
+
+
 class TestSampleLimitRv:
     def test_zero_integral_gives_zeros(self):
-        out = sample_limit_rv(
-            1.5, 0.0, 1.0, 0.0, [0.5, 1.0], spawn_rng(SEED, "zero"),
-            grid_per_unit=2000,
-        )
+        out = sample_limit_rv(1.5, 0.0, 1.0, 0.0, [0.5, 1.0], spawn_rng(SEED, "zero"))
         assert np.array_equal(out, np.zeros(2))
 
     def test_env_constant_unity_matches_plain(self):
-        kwargs = dict(grid_per_unit=2000)
-        a = sample_limit_rv(
-            1.5, 0.0, 1.0, 2.0, [1.0], spawn_rng(SEED, "unit"), **kwargs
-        )
+        a = sample_limit_rv(1.5, 0.0, 1.0, 2.0, [1.0], spawn_rng(SEED, "unit"))
         b = sample_limit_rv(
-            1.5, 0.0, 1.0, 2.0, [1.0], spawn_rng(SEED, "unit"),
-            env_constant=1.0, **kwargs
+            1.5, 0.0, 1.0, 2.0, [1.0], spawn_rng(SEED, "unit"), env_constant=1.0
         )
         assert np.array_equal(a, b)
 
     def test_constant_scales_linearly(self):
-        a = sample_limit_rv(
-            1.5, 0.0, 1.0, 1.0, [1.0], spawn_rng(SEED, "lin"), grid_per_unit=2000
-        )
+        a = sample_limit_rv(1.5, 0.0, 1.0, 1.0, [1.0], spawn_rng(SEED, "lin"))
         b = sample_limit_rv(
-            1.5, 0.0, 1.0, 1.0, [1.0], spawn_rng(SEED, "lin"),
-            env_constant=3.0, grid_per_unit=2000
+            1.5, 0.0, 1.0, 1.0, [1.0], spawn_rng(SEED, "lin"), env_constant=3.0
         )
         assert b[0] == pytest.approx(3.0 * a[0], rel=1e-12)
+
+    def test_is_constant_times_exact_local_time(self):
+        out = sample_limit_rv(1.5, 0.5, 2.0, 3.0, [0.5, 1.0], spawn_rng(SEED, "c"))
+        local = sample_local_time_exact(1.5, 0.5, [0.5, 1.0], spawn_rng(SEED, "c"))
+        assert np.allclose(out, 2.0 ** (1.0 / 1.5) * 3.0 * local, rtol=1e-14)
 
     def test_default_eps_uses_increment_scale(self):
         assert default_eps(2.0, 10**5, 1.0) == pytest.approx(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrwlab.environment import DeterministicEnv, periodic_env
-from ctrwlab.errors import DivergentSumError, DomainError, JumpCapError
+from ctrwlab.errors import DivergentSumError, DomainError, JumpCapError, SimulationError
 from ctrwlab.rng import spawn_rng
 from ctrwlab.stable import Gaussian, Lattice, SymmetricPareto, rademacher
 from ctrwlab.walk import (
@@ -111,6 +111,17 @@ class TestSimulateSkeleton:
     def test_bad_horizon(self):
         with pytest.raises(DomainError):
             simulate_skeleton(Gaussian(1.0), Exponential(1.0), -1.0, spawn_rng(SEED))
+
+    def test_mismatched_skeleton_rejected(self):
+        # a typed error, not an assert, so the check survives python -O
+        with pytest.raises(SimulationError):
+            PathSkeleton(
+                positions=np.zeros(3), holds=np.ones(2), horizon_t=1.5, n_jumps=2
+            )
+        with pytest.raises(SimulationError):
+            PathSkeleton(
+                positions=np.zeros(2), holds=np.ones(2), horizon_t=1.5, n_jumps=2
+            )
 
 
 class TestPositionAt:

@@ -52,7 +52,6 @@ from .levy import (
 from .rng import spawn_rng
 from .stable import (
     CalibrationResult,
-    Empirical,
     Gaussian,
     JumpLaw,
     Lattice,
@@ -64,7 +63,6 @@ from .stable import (
     hill_estimator,
     norm_constant,
     rademacher,
-    sample_jump,
     sample_stable,
     stable_chf,
 )

@@ -9,7 +9,7 @@ are rejected.  See the README for the schema and examples.
 from __future__ import annotations
 
 import configparser
-import math
+import contextlib
 import sys
 
 import click
@@ -17,49 +17,42 @@ import numpy as np
 
 from .environment import (
     ShotNoiseEnv,
-    bump_kernel,
     mean_lambda_inv_analytic,
     periodic_env,
-    power_kernel,
     sample_config,
     sup_growth_check,
 )
 from .errors import CtrwLabError, DomainError, ExperimentConfigError
 from .harness import (
+    KINDS,
     ExperimentConfig,
+    build,
     emit_report,
     run_experiment,
 )
 from .levy import default_eps, dump_levy_path, local_time_zero, simulate_levy
 from .rng import spawn_rng
-from .stable import (
-    Gaussian,
-    Lattice,
-    StableParams,
-    SkewedPareto,
-    SymmetricPareto,
-    rademacher,
-    sample_stable,
-)
-from .walk import (
-    DeterministicWait,
-    Exponential,
-    FunctionalSpec,
-    GammaWait,
-    ParetoWait,
-    dump_skeleton,
-    simulate_skeleton,
-)
+from .stable import StableParams, sample_stable
+from .walk import dump_skeleton, simulate_skeleton
 
 EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
 EXIT_THRESHOLD = 3
 
 
-def _open_out(path):
-    if path == "-":
-        return sys.stdout
-    return open(path, "w")
+@contextlib.contextmanager
+def _output(path):
+    """The stream for ``path`` ("-" is stdout); a CtrwLabError raised while
+    writing it is reported and exits with EXIT_RUNTIME."""
+    fh = sys.stdout if path == "-" else open(path, "w")
+    try:
+        yield fh
+    except CtrwLabError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_RUNTIME)
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
 @click.group()
@@ -84,61 +77,47 @@ def cmd_sample_stable(alpha, beta, scale, loc, n, seed, out):
     if n < 1:
         raise click.UsageError("--n must be at least 1")
     samples = sample_stable(params, spawn_rng(seed, "cli-sample-stable"), n)
-    fh = _open_out(out)
-    try:
+    with _output(out) as fh:
         for s in samples:
             fh.write(f"{s:.17g}\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
-_JUMP_KINDS = ("gaussian", "symmetric_pareto", "skewed_pareto", "rademacher")
-_WAIT_KINDS = ("exponential", "pareto", "gamma", "deterministic")
+def _kind_option(flag, section, key):
+    """A flag setting ``key`` of the chosen ``section`` kind: left unset it
+    takes the kind table's default, and a kind without ``key`` rejects it."""
+    takers = {kind: d[key] for kind, (_, d) in KINDS[section].items() if key in d}
+    return click.option(flag, f"{section}__{key}", type=float, default=None,
+                        help=f"Only for {' or '.join(takers)}.  "
+                        f"[default: {next(iter(takers.values()))}]")
 
 
-def _build_jump(kind, alpha, x_min, variance, p_right):
+def _build_from_flags(section, kind, flags):
+    prefix = section + "__"
+    values = {
+        k[len(prefix):]: v
+        for k, v in flags.items()
+        if k.startswith(prefix) and v is not None
+    }
     try:
-        if kind == "gaussian":
-            return Gaussian(variance)
-        if kind == "symmetric_pareto":
-            return SymmetricPareto(alpha, x_min)
-        if kind == "skewed_pareto":
-            return SkewedPareto(alpha, x_min, p_right)
-        if kind == "rademacher":
-            return rademacher()
-    except DomainError as exc:
+        return build(section, kind, values)
+    except (DomainError, ExperimentConfigError) as exc:
         raise click.UsageError(str(exc))
-    raise click.UsageError(f"unknown jump kind {kind!r}")
-
-
-def _build_wait(kind, mean, index, x_min, shape, scale):
-    try:
-        if kind == "exponential":
-            return Exponential(mean)
-        if kind == "pareto":
-            return ParetoWait(index, x_min)
-        if kind == "gamma":
-            return GammaWait(shape, scale)
-        if kind == "deterministic":
-            return DeterministicWait(mean)
-    except DomainError as exc:
-        raise click.UsageError(str(exc))
-    raise click.UsageError(f"unknown wait kind {kind!r}")
 
 
 @main.command("simulate")
-@click.option("--jump", "jump_kind", type=click.Choice(_JUMP_KINDS), default="gaussian", show_default=True)
-@click.option("--jump-alpha", type=float, default=1.5, show_default=True)
-@click.option("--jump-xmin", type=float, default=1.0, show_default=True)
-@click.option("--jump-variance", type=float, default=1.0, show_default=True)
-@click.option("--jump-pright", type=float, default=0.5, show_default=True)
-@click.option("--wait", "wait_kind", type=click.Choice(_WAIT_KINDS), default="exponential", show_default=True)
-@click.option("--wait-mean", type=float, default=1.0, show_default=True)
-@click.option("--wait-index", type=float, default=2.0, show_default=True)
-@click.option("--wait-xmin", type=float, default=0.5, show_default=True)
-@click.option("--wait-shape", type=float, default=1.0, show_default=True)
-@click.option("--wait-scale", type=float, default=1.0, show_default=True)
+@click.option("--jump", "jump_kind", type=click.Choice(tuple(KINDS["jump"])),
+              default="gaussian", show_default=True)
+@_kind_option("--jump-alpha", "jump", "alpha")
+@_kind_option("--jump-xmin", "jump", "x_min")
+@_kind_option("--jump-variance", "jump", "variance")
+@_kind_option("--jump-pright", "jump", "p_right")
+@click.option("--wait", "wait_kind", type=click.Choice(tuple(KINDS["wait"])),
+              default="exponential", show_default=True)
+@_kind_option("--wait-mean", "wait", "mean")
+@_kind_option("--wait-index", "wait", "index")
+@_kind_option("--wait-xmin", "wait", "x_min")
+@_kind_option("--wait-shape", "wait", "shape")
+@_kind_option("--wait-scale", "wait", "scale")
 @click.option("--env", "env_kind", type=click.Choice(("none", "periodic")), default="none", show_default=True)
 @click.option("--t", type=float, required=True)
 @click.option("--paths", type=int, default=1, show_default=True)
@@ -146,19 +125,17 @@ def _build_wait(kind, mean, index, x_min, shape, scale):
 @click.option("--out", default="-", show_default=True)
 @click.option("--dump-skeleton", "dump_path", default=None,
               help="Write the first path in columnar form (k S_k h_(k+1)).")
-def cmd_simulate(jump_kind, jump_alpha, jump_xmin, jump_variance, jump_pright,
-                 wait_kind, wait_mean, wait_index, wait_xmin, wait_shape,
-                 wait_scale, env_kind, t, paths, seed, out, dump_path):
+def cmd_simulate(jump_kind, wait_kind, env_kind, t, paths, seed, out, dump_path,
+                 **law_flags):
     """Simulate path skeletons; emit per-path summary CSV."""
     if t <= 0:
         raise click.UsageError("--t must be positive")
     if paths < 1:
         raise click.UsageError("--paths must be at least 1")
-    jump = _build_jump(jump_kind, jump_alpha, jump_xmin, jump_variance, jump_pright)
-    wait = _build_wait(wait_kind, wait_mean, wait_index, wait_xmin, wait_shape, wait_scale)
+    jump = _build_from_flags("jump", jump_kind, law_flags)
+    wait = _build_from_flags("wait", wait_kind, law_flags)
     env = periodic_env() if env_kind == "periodic" else None
-    fh = _open_out(out)
-    try:
+    with _output(out) as fh:
         fh.write("path,n_jumps,final_position,mean_hold\n")
         for k in range(paths):
             rng = spawn_rng(seed, "cli-simulate", k)
@@ -169,12 +146,6 @@ def cmd_simulate(jump_kind, jump_alpha, jump_xmin, jump_variance, jump_pright,
             )
             if k == 0 and dump_path is not None:
                 dump_skeleton(path, dump_path)
-    except CtrwLabError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RUNTIME)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 @main.command("local-time")
@@ -197,8 +168,7 @@ def cmd_local_time(alpha, beta, grid_n, horizon, eps, paths, seed, u_grid, out,
         u = tuple(float(x) for x in u_grid.split(","))
     except (DomainError, ValueError) as exc:
         raise click.UsageError(str(exc))
-    fh = _open_out(out)
-    try:
+    with _output(out) as fh:
         fh.write("path,u,eps,value\n")
         for k in range(paths):
             path = simulate_levy(alpha, beta, grid_n, horizon, spawn_rng(seed, "cli-local-time", k))
@@ -207,12 +177,6 @@ def cmd_local_time(alpha, beta, grid_n, horizon, eps, paths, seed, u_grid, out,
             use_eps = eps if eps is not None else default_eps(alpha, grid_n, horizon)
             for est in local_time_zero(path, use_eps, u):
                 fh.write(f"{k},{est.u:.17g},{est.eps:.17g},{est.value:.17g}\n")
-    except CtrwLabError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RUNTIME)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 @main.command("env")
@@ -220,26 +184,19 @@ def cmd_local_time(alpha, beta, grid_n, horizon, eps, paths, seed, u_grid, out,
 @click.option("--exp-moment", is_flag=True, help="Print the analytic E[Lambda^-a].")
 @click.option("--n", "n_list", default="100,1000", show_default=True)
 @click.option("--a", "moment_a", type=float, default=1.0, show_default=True)
-@click.option("--kernel", "kernel_kind", type=click.Choice(("bump", "power")), default="bump", show_default=True)
-@click.option("--amplitude", type=float, default=math.log(2.0), show_default=True)
-@click.option("--decay-beta", type=float, default=3.0, show_default=True)
+@click.option("--kernel", "kernel_kind", type=click.Choice(tuple(KINDS["kernel"])),
+              default="bump", show_default=True)
+@_kind_option("--amplitude", "kernel", "amplitude")
+@_kind_option("--decay-beta", "kernel", "decay_beta")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default="-", show_default=True)
-def cmd_env(check_b3, exp_moment, n_list, moment_a, kernel_kind, amplitude,
-            decay_beta, seed, out):
+def cmd_env(check_b3, exp_moment, n_list, moment_a, kernel_kind, seed, out,
+            **kernel_flags):
     """Shot-noise environment diagnostics."""
     if not (check_b3 or exp_moment):
         raise click.UsageError("choose one of --check-b3 or --exp-moment")
-    try:
-        kernel = (
-            bump_kernel(amplitude)
-            if kernel_kind == "bump"
-            else power_kernel(amplitude, decay_beta)
-        )
-    except DomainError as exc:
-        raise click.UsageError(str(exc))
-    fh = _open_out(out)
-    try:
+    kernel = _build_from_flags("kernel", kernel_kind, kernel_flags)
+    with _output(out) as fh:
         if exp_moment:
             value = mean_lambda_inv_analytic(kernel, moment_a)
             fh.write(f"a,mean_lambda_inv\n{moment_a:.17g},{value:.17g}\n")
@@ -254,12 +211,6 @@ def cmd_env(check_b3, exp_moment, n_list, moment_a, kernel_kind, amplitude,
             fh.write("n,sup_lambda_inv\n")
             for n, sup in sup_growth_check(env, ns):
                 fh.write(f"{n},{sup:.17g}\n")
-    except CtrwLabError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RUNTIME)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 _CONFIG_SCHEMA = {
@@ -269,100 +220,10 @@ _CONFIG_SCHEMA = {
         "allow_short_horizon", "g_support_halfwidth", "env_window_halfwidth",
         "escape_probability",
     },
-    "jump": {"kind", "alpha", "x_min", "variance", "p_right", "a", "b", "weights"},
-    "wait": {"kind", "mean", "index", "x_min", "shape", "scale"},
-    "functional": {"kind", "lo", "hi"},
-    "env": {"kind", "mean_level", "amplitude", "frequency", "kernel",
-            "decay_beta"},
     "output": {"json", "csv"},
 }
-
-
-def _parse_functional(section) -> FunctionalSpec:
-    kind = section.get("kind", "gauss_bump")
-    if kind == "gauss_bump":
-        return FunctionalSpec(f=lambda x: np.exp(-(x**2)), f_integral=None)
-    if kind == "indicator_zero":
-        return FunctionalSpec(
-            f=lambda x: (np.abs(x) < 1e-9).astype(float), f_integral=None
-        )
-    if kind == "box":
-        lo = float(section.get("lo", "-0.5"))
-        hi = float(section.get("hi", "0.5"))
-        if lo >= hi:
-            raise ExperimentConfigError("box functional needs lo < hi")
-        return FunctionalSpec(
-            f=lambda x: ((x >= lo) & (x < hi)).astype(float), f_integral=hi - lo
-        )
-    raise ExperimentConfigError(f"unknown functional kind {kind!r}")
-
-
-def _parse_jump(section):
-    kind = section.get("kind", "gaussian")
-    if kind == "gaussian":
-        return Gaussian(float(section.get("variance", "1.0")))
-    if kind == "symmetric_pareto":
-        return SymmetricPareto(
-            float(section.get("alpha", "1.5")), float(section.get("x_min", "1.0"))
-        )
-    if kind == "skewed_pareto":
-        return SkewedPareto(
-            float(section.get("alpha", "1.5")),
-            float(section.get("x_min", "1.0")),
-            float(section.get("p_right", "0.5")),
-        )
-    if kind == "rademacher":
-        return rademacher()
-    if kind == "lattice":
-        weights = []
-        for item in section.get("weights", "-1:0.5,1:0.5").split(","):
-            n, p = item.split(":")
-            weights.append((int(n), float(p)))
-        return Lattice(
-            a=float(section.get("a", "0.0")),
-            b=float(section.get("b", "1.0")),
-            weights=tuple(weights),
-        )
-    raise ExperimentConfigError(f"unknown jump kind {kind!r}")
-
-
-def _parse_wait(section):
-    kind = section.get("kind", "exponential")
-    if kind == "exponential":
-        return Exponential(float(section.get("mean", "1.0")))
-    if kind == "pareto":
-        return ParetoWait(
-            float(section.get("index", "2.0")), float(section.get("x_min", "0.5"))
-        )
-    if kind == "gamma":
-        return GammaWait(
-            float(section.get("shape", "1.0")), float(section.get("scale", "1.0"))
-        )
-    if kind == "deterministic":
-        return DeterministicWait(float(section.get("mean", "1.0")))
-    raise ExperimentConfigError(f"unknown wait kind {kind!r}")
-
-
-def _parse_env(section):
-    kind = section.get("kind", "none")
-    if kind == "none":
-        return None, None
-    if kind == "periodic_inverse":
-        env = periodic_env(
-            float(section.get("mean_level", "2.0")),
-            float(section.get("amplitude", "1.0")),
-            float(section.get("frequency", "1.0")),
-        )
-        return env, None
-    if kind == "shot_noise":
-        kernel_kind = section.get("kernel", "bump")
-        amplitude = float(section.get("amplitude", str(math.log(2.0))))
-        if kernel_kind == "bump":
-            return None, bump_kernel(amplitude)
-        if kernel_kind == "power":
-            return None, power_kernel(amplitude, float(section.get("decay_beta", "3.0")))
-        raise ExperimentConfigError(f"unknown kernel {kernel_kind!r}")
-    raise ExperimentConfigError(f"unknown env kind {kind!r}")
+# Sections whose kinds and keys come from the kind table.
+_KIND_SECTIONS = ("jump", "wait", "functional", "env")
 
 
 def load_experiment_config(path) -> tuple[ExperimentConfig, dict]:
@@ -377,6 +238,8 @@ def load_experiment_config(path) -> tuple[ExperimentConfig, dict]:
     if not read:
         raise ExperimentConfigError(f"config file not found: {path}")
     for section in parser.sections():
+        if section in _KIND_SECTIONS:
+            continue
         if section not in _CONFIG_SCHEMA:
             raise ExperimentConfigError(f"unknown config section [{section}]")
         for key in parser[section]:
@@ -387,7 +250,14 @@ def load_experiment_config(path) -> tuple[ExperimentConfig, dict]:
     if "experiment" not in parser:
         raise ExperimentConfigError("config file needs an [experiment] section")
     exp = parser["experiment"]
-    env, kernel = _parse_env(parser["env"]) if "env" in parser else (None, None)
+    built = {}
+    for section in _KIND_SECTIONS:
+        values = dict(parser[section]) if section in parser else {}
+        kind = values.pop("kind", next(iter(KINDS[section])))
+        if section == "env" and kind == "shot_noise":
+            built["kernel"] = build("kernel", values.pop("kernel", "bump"), values)
+        else:
+            built[section] = build(section, kind, values)
     u_grid = tuple(
         float(x) for x in exp.get("u_grid", "0.25,0.5,0.75,1.0").split(",")
     )
@@ -400,11 +270,7 @@ def load_experiment_config(path) -> tuple[ExperimentConfig, dict]:
         fdd_pairs = tuple(pairs)
     cfg = ExperimentConfig(
         theorem=exp.get("theorem", "T2"),
-        jump=_parse_jump(parser["jump"]) if "jump" in parser else Gaussian(1.0),
-        wait=_parse_wait(parser["wait"]) if "wait" in parser else Exponential(1.0),
-        functional=_parse_functional(parser["functional"])
-        if "functional" in parser
-        else FunctionalSpec(f=lambda x: np.exp(-(x**2)), f_integral=None),
+        **built,
         t=float(exp.get("t", "10000")),
         u_grid=u_grid,
         replicates=int(exp.get("replicates", "2000")),
@@ -412,8 +278,6 @@ def load_experiment_config(path) -> tuple[ExperimentConfig, dict]:
         master_seed=int(exp.get("master_seed", "0")),
         ks_threshold=float(exp.get("ks_threshold", "0.08")),
         workers=int(exp.get("workers", "1")),
-        env=env,
-        kernel=kernel,
         env_window_halfwidth=(
             float(exp["env_window_halfwidth"])
             if exp.get("env_window_halfwidth")

@@ -351,13 +351,22 @@ def _subdivide(breakpoints: np.ndarray, h_max: float) -> np.ndarray:
 
 
 def _integrand_and_kinks(env: EnvSpec, span_lo: float, span_hi: float):
-    if isinstance(env, ShotNoiseEnv):
-        r = env.kernel.cutoff_r
-        pts = env.config.points
-        kinks = np.concatenate([pts, pts - r, pts + r])
-        kinks = kinks[(kinks > span_lo) & (kinks < span_hi)]
-        return env.lambda_inv_many, kinks
-    return env.lambda_inv_many, np.empty(0)
+    """1/Lambda and its kinks strictly inside (span_lo, span_hi): the
+    configuration points and the kernel support edges around them."""
+    if not isinstance(env, ShotNoiseEnv):
+        return env.lambda_inv_many, np.empty(0)
+    r = env.kernel.cutoff_r
+    need_lo, need_hi = span_lo - r, span_hi + r
+    if env.config.lo > need_lo or env.config.hi < need_hi:
+        raise BoundaryError(
+            f"config window [{env.config.lo:.6g}, {env.config.hi:.6g}] does "
+            f"not cover the required span [{need_lo:.6g}, {need_hi:.6g}]"
+        )
+    # only points within r of the span put a kink inside it
+    pts = env.config.points
+    pts = pts[np.searchsorted(pts, need_lo) : np.searchsorted(pts, need_hi, side="right")]
+    kinks = np.concatenate([pts, pts - r, pts + r])
+    return env.lambda_inv_many, kinks[(kinks > span_lo) & (kinks < span_hi)]
 
 
 def cesaro_error(
@@ -382,14 +391,6 @@ def cesaro_error(
     reach = t**r
     xs = np.arange(-reach, reach + grid_step / 2.0, grid_step)
     span_lo, span_hi = -reach, reach + t
-    if isinstance(env, ShotNoiseEnv):
-        need_lo = span_lo - env.kernel.cutoff_r
-        need_hi = span_hi + env.kernel.cutoff_r
-        if env.config.lo > need_lo or env.config.hi < need_hi:
-            raise BoundaryError(
-                f"config window [{env.config.lo:.6g}, {env.config.hi:.6g}] does "
-                f"not cover the required span [{need_lo:.6g}, {need_hi:.6g}]"
-            )
     integrand, kinks = _integrand_and_kinks(env, span_lo, span_hi)
     breakpoints = np.unique(
         np.concatenate([[span_lo, span_hi], xs, xs + t, kinks])

@@ -27,18 +27,33 @@ from .environment import (
     Kernel,
     PoissonConfig,
     ShotNoiseEnv,
+    _integrand_and_kinks,
     _panel_prefix,
     _subdivide,
+    bump_kernel,
+    periodic_env,
+    power_kernel,
     sample_config,
     theorem5_constant,
 )
 from .errors import ExperimentConfigError, QuadratureError, ReportIOError
 from .levy import sample_limit_rv
 from .rng import RandomSource, spawn_rng
-from .stable import Gaussian, JumpLaw, Lattice, SymmetricPareto, SkewedPareto
+from .stable import (
+    Gaussian,
+    JumpLaw,
+    Lattice,
+    SkewedPareto,
+    SymmetricPareto,
+    rademacher,
+)
 from .walk import (
     DEFAULT_JUMP_CAP,
+    DeterministicWait,
+    Exponential,
     FunctionalSpec,
+    GammaWait,
+    ParetoWait,
     WaitLaw,
     lattice_limit_constant,
     normalized_functional,
@@ -124,38 +139,117 @@ class ExperimentConfig:
             raise ExperimentConfigError("; ".join(problems))
 
 
-def _describe(obj) -> dict:
+def _gauss_bump() -> FunctionalSpec:
+    return FunctionalSpec(f=lambda x: np.exp(-(x**2)))
+
+
+def _indicator_zero() -> FunctionalSpec:
+    return FunctionalSpec(f=lambda x: (np.abs(x) < 1e-9).astype(float))
+
+
+def _box(lo: float, hi: float) -> FunctionalSpec:
+    if lo >= hi:
+        raise ExperimentConfigError("box functional needs lo < hi")
+    return FunctionalSpec(
+        f=lambda x: ((x >= lo) & (x < hi)).astype(float), f_integral=hi - lo
+    )
+
+
+def _parse_weights(text: str) -> tuple:
+    pairs = (item.split(":") for item in text.split(","))
+    return tuple((int(n), float(p)) for n, p in pairs)
+
+
+def _format_weights(weights) -> str:
+    return ",".join(f"{int(n)}:{float(p)!r}" for n, p in weights)
+
+
+# The kind table: section -> kind -> (constructor, {key: default}).  The
+# first kind of a section is its default, and a kind takes exactly its keys.
+# For jump and wait laws the keys are the dataclass fields, so ``describe``
+# reads a law back into the INI section that builds it.  An INI
+# ``[env] kind = shot_noise`` section builds a ``kernel`` kind instead.
+KINDS = {
+    "jump": {
+        "gaussian": (Gaussian, {"variance": 1.0}),
+        "symmetric_pareto": (SymmetricPareto, {"alpha": 1.5, "x_min": 1.0}),
+        "skewed_pareto": (SkewedPareto, {"alpha": 1.5, "x_min": 1.0, "p_right": 0.5}),
+        "rademacher": (rademacher, {}),
+        "lattice": (Lattice, {"a": 0.0, "b": 1.0, "weights": "-1:0.5,1:0.5"}),
+    },
+    "wait": {
+        "exponential": (Exponential, {"mean": 1.0}),
+        "pareto": (ParetoWait, {"index": 2.0, "x_min": 0.5}),
+        "gamma": (GammaWait, {"shape": 1.0, "scale": 1.0}),
+        "deterministic": (DeterministicWait, {"mean": 1.0}),
+    },
+    "functional": {
+        "gauss_bump": (_gauss_bump, {}),
+        "indicator_zero": (_indicator_zero, {}),
+        "box": (_box, {"lo": -0.5, "hi": 0.5}),
+    },
+    "env": {
+        "none": (lambda: None, {}),
+        "periodic_inverse": (
+            periodic_env, {"mean_level": 2.0, "amplitude": 1.0, "frequency": 1.0}
+        ),
+    },
+    "kernel": {
+        "bump": (bump_kernel, {"amplitude": math.log(2.0)}),
+        "power": (power_kernel, {"amplitude": math.log(2.0), "decay_beta": 3.0}),
+    },
+}
+
+# Keys whose INI text is not a float.
+_PARSE = {"weights": _parse_weights}
+_FORMAT = {"weights": _format_weights}
+
+
+def build(section: str, kind: str, values=None):
+    """The ``kind`` object of ``section`` from INI-style ``{key: value}``;
+    keys left out take the table's defaults."""
+    if kind not in KINDS[section]:
+        raise ExperimentConfigError(f"unknown {section} kind {kind!r}")
+    make, defaults = KINDS[section][kind]
+    values = dict(values or {})
+    for key in values:
+        if key not in defaults:
+            raise ExperimentConfigError(
+                f"{section} kind {kind!r} takes no key {key!r}"
+                f" (its keys: {', '.join(defaults) or 'none'})"
+            )
+    args = {}
+    for key, default in defaults.items():
+        raw = values.get(key, default)
+        try:
+            args[key] = _PARSE.get(key, float)(raw)
+        except ValueError as exc:
+            raise ExperimentConfigError(f"bad {section} {key} {raw!r}: {exc}") from exc
+    return make(**args)
+
+
+def describe(obj) -> dict:
+    """The config echo of one law, environment or kernel.
+
+    A jump or wait law reads back through the kind table, each value as its
+    INI key takes it.  Environments and kernels wrap callables, so they echo
+    a summary."""
     if obj is None:
         return {"kind": "none"}
-    if isinstance(obj, SymmetricPareto):
-        return {"kind": "symmetric_pareto", "alpha": obj.alpha, "x_min": obj.x_min}
-    if isinstance(obj, SkewedPareto):
-        return {
-            "kind": "skewed_pareto",
-            "alpha": obj.alpha,
-            "x_min": obj.x_min,
-            "p_right": obj.p_right,
-        }
-    if isinstance(obj, Gaussian):
-        return {"kind": "gaussian", "variance": obj.variance}
-    if isinstance(obj, Lattice):
-        return {
-            "kind": "lattice",
-            "a": obj.a,
-            "b": obj.b,
-            "weights": [[int(n), float(p)] for n, p in obj.weights],
-        }
     if isinstance(obj, DeterministicEnv):
         return {"kind": "deterministic_env", "name": obj.name,
                 "lambda_bar_inv": obj.lambda_bar_inv}
     if isinstance(obj, Kernel):
         return {"kind": "kernel", "name": obj.name, "bound_c": obj.bound_c,
                 "decay_beta": obj.decay_beta, "cutoff_r": obj.cutoff_r}
-    cls = type(obj).__name__
-    fields = {
-        k: v for k, v in vars(obj).items() if isinstance(v, (int, float, str))
-    }
-    return {"kind": cls.lower(), **fields}
+    for kinds in KINDS.values():
+        for kind, (make, defaults) in kinds.items():
+            if make is type(obj):
+                return {
+                    "kind": kind,
+                    **{k: _FORMAT.get(k, lambda v: v)(getattr(obj, k)) for k in defaults},
+                }
+    return {"kind": type(obj).__name__}
 
 
 def suggest_window_halfwidth(
@@ -199,44 +293,33 @@ def quenched_integral(
     """integral of g(x) / Lambda(x, gamma) dx over the fixed configuration,
     by Gauss panels split at the kernel kinks."""
     lo, hi = -support_halfwidth, support_halfwidth
-    r = env.kernel.cutoff_r
-    if env.config.lo > lo - r or env.config.hi < hi + r:
-        raise QuadratureError(
-            "configuration window does not cover the integrand support"
-        )
-    pts = env.config.points
-    kinks = np.concatenate([pts, pts - r, pts + r])
-    kinks = kinks[(kinks > lo) & (kinks < hi)]
+    lambda_inv, kinks = _integrand_and_kinks(env, lo, hi)
     breakpoints = _subdivide(np.unique(np.concatenate([[lo, hi], kinks])), h_max)
 
     def integrand(x):
-        return np.asarray(g(x), dtype=float) * env.lambda_inv_many(x)
+        return np.asarray(g(x), dtype=float) * lambda_inv(x)
 
     prefix = _panel_prefix(integrand, breakpoints, order=order)
     return float(prefix[-1])
 
 
-def _integral_g_over_lambda(g, env: DeterministicEnv) -> float:
-    def integrand(x):
-        arr = np.array([x])
-        return float(np.asarray(g(arr), dtype=float)[0] * env.lambda_inv_many(arr)[0])
-
-    value, err = quad(integrand, -np.inf, np.inf, limit=400)
+def _quad_line(h, what: str) -> float:
+    """integral over the line of the vectorized ``h``, by adaptive quad."""
+    value, err = quad(lambda x: float(np.asarray(h(np.array([x])), dtype=float)[0]),
+                      -np.inf, np.inf, limit=400)
     if err > 1e-8 * max(abs(value), 1e-12):
-        raise QuadratureError(
-            f"integral of g/Lambda: error estimate {err:.2e} too large"
-        )
+        raise QuadratureError(f"integral of {what}: error estimate {err:.2e} too large")
     return float(value)
+
+
+def _integral_g_over_lambda(g, env: DeterministicEnv) -> float:
+    return _quad_line(
+        lambda x: np.asarray(g(x), dtype=float) * env.lambda_inv_many(x), "g/Lambda"
+    )
 
 
 def _integral_f(f) -> float:
-    def integrand(x):
-        return float(np.asarray(f(np.array([x])), dtype=float)[0])
-
-    value, err = quad(integrand, -np.inf, np.inf, limit=400)
-    if err > 1e-8 * max(abs(value), 1e-12):
-        raise QuadratureError(f"integral of f: error estimate {err:.2e} too large")
-    return float(value)
+    return _quad_line(f, "f")
 
 
 # Worker context shared with forked processes; set immediately before the
@@ -487,10 +570,10 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     passed = all(r.passed for r in rows) and all(f["passed"] for f in fdd)
     config_echo = {
         "theorem": cfg.theorem,
-        "jump": _describe(cfg.jump),
-        "wait": _describe(cfg.wait),
-        "env": _describe(cfg.env),
-        "kernel": _describe(cfg.kernel),
+        "jump": describe(cfg.jump),
+        "wait": describe(cfg.wait),
+        "env": describe(cfg.env),
+        "kernel": describe(cfg.kernel),
         "t": cfg.t,
         "u_grid": list(u_grid),
         "replicates": cfg.replicates,

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Union
 
 import numpy as np
 
+from .distances import ks_two_sample
 from .errors import CalibrationError, DomainError
 from .rng import RandomSource
 
@@ -133,7 +134,6 @@ class SymmetricPareto:
 
     alpha: float
     x_min: float = 1.0
-    slowly_varying: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if not 1.0 < self.alpha < 2.0:
@@ -179,7 +179,6 @@ class SkewedPareto:
     alpha: float
     x_min: float = 1.0
     p_right: float = 0.5
-    slowly_varying: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if not 1.0 < self.alpha < 2.0:
@@ -226,7 +225,6 @@ class Gaussian:
     """Centered normal jumps; normal attraction to the alpha=2 standard law."""
 
     variance: float
-    slowly_varying: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if not self.variance > 0.0:
@@ -259,7 +257,6 @@ class Lattice:
     a: float
     b: float
     weights: tuple[tuple[int, float], ...]
-    slowly_varying: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if not self.b > 0.0:
@@ -305,77 +302,14 @@ def rademacher() -> Lattice:
     return Lattice(a=0.0, b=1.0, weights=((-1, 0.5), (1, 0.5)))
 
 
-@dataclass(frozen=True)
-class Empirical:
-    """Finite discrete law given by a value/probability table, centered by
-    an explicit shift."""
-
-    values: tuple[float, ...]
-    probs: tuple[float, ...]
-    slowly_varying: Optional[Callable[[float], float]] = None
-
-    def __post_init__(self):
-        if len(self.values) != len(self.probs) or not self.values:
-            raise DomainError("values and probs must be nonempty and equal length")
-        if abs(sum(self.probs) - 1.0) > 1e-9 or any(p <= 0.0 for p in self.probs):
-            raise DomainError("probs must be positive and sum to 1")
-
-    has_density = False
-    alpha_attr = 2.0
-    beta_attr = 0.0
-
-    @property
-    def centering_shift(self) -> float:
-        return float(np.dot(self.values, self.probs))
-
-    @property
-    def variance(self) -> float:
-        centered = np.asarray(self.values) - self.centering_shift
-        return float(np.dot(self.probs, centered**2))
-
-    @property
-    def sigma_attr(self) -> float:
-        return math.sqrt(self.variance / 2.0)
-
-    def sample(self, rng: RandomSource, size=None):
-        scalar = size is None
-        n = 1 if scalar else size
-        cum = np.cumsum(self.probs)
-        idx = np.searchsorted(cum, rng.random(n), side="right")
-        values = np.asarray(self.values) - self.centering_shift
-        out = values[np.minimum(idx, len(values) - 1)]
-        return float(out[0]) if scalar else out
-
-
-JumpLaw = Union[SymmetricPareto, SkewedPareto, Gaussian, Lattice, Empirical]
-
-
-def sample_jump(law: JumpLaw, rng: RandomSource, size=None):
-    """Draw from a centered jump law."""
-    return law.sample(rng, size)
+JumpLaw = Union[SymmetricPareto, SkewedPareto, Gaussian, Lattice]
 
 
 def norm_constant(law: JumpLaw, t: float) -> float:
-    """The normalizer c_t = L(t) t^(1/alpha - 1); L = sigma_attr unless the
-    law carries an explicit slowly-varying callback."""
+    """The normalizer c_t = sigma_attr t^(1/alpha - 1)."""
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
-    if law.slowly_varying is not None:
-        slow = float(law.slowly_varying(t))
-    else:
-        slow = law.sigma_attr
-    return slow * t ** (1.0 / law.alpha_attr - 1.0)
-
-
-def _ks_sorted(sorted_ref: np.ndarray, sample: np.ndarray) -> float:
-    # two-sample KS with the reference pre-sorted; used only by the
-    # calibration search (the reporting path lives in distances.py)
-    sample = np.sort(sample)
-    n, m = len(sample), len(sorted_ref)
-    grid = np.concatenate([sample, sorted_ref])
-    cdf_s = np.searchsorted(sample, grid, side="right") / n
-    cdf_r = np.searchsorted(sorted_ref, grid, side="right") / m
-    return float(np.max(np.abs(cdf_s - cdf_r)))
+    return law.sigma_attr * t ** (1.0 / law.alpha_attr - 1.0)
 
 
 @dataclass(frozen=True)
@@ -416,7 +350,6 @@ def calibrate_sigma(
     normalized = sums / n ** (1.0 / alpha)
 
     ref = sample_stable(StableParams(alpha, beta), rng, ref_factor * n_replicates)
-    ref = np.sort(ref)
 
     spread = np.subtract(*np.percentile(normalized, [75, 25]))
     ref_spread = np.subtract(*np.percentile(ref, [75, 25]))
@@ -427,7 +360,7 @@ def calibrate_sigma(
     for _ in range(3):
         grid = np.exp(np.linspace(center - half_width, center + half_width, 25))
         for sigma in grid:
-            ks = _ks_sorted(ref, normalized / sigma)
+            ks = ks_two_sample(normalized / sigma, ref)
             if ks < best_ks:
                 best_ks, best_sigma = ks, float(sigma)
         center = math.log(best_sigma)

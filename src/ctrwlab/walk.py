@@ -82,20 +82,20 @@ class GammaWait:
 
 @dataclass(frozen=True)
 class DeterministicWait:
-    value: float
+    mean: float
 
     def __post_init__(self):
-        if not self.value > 0.0:
-            raise DomainError(f"value must be positive, got {self.value}")
+        if not self.mean > 0.0:
+            raise DomainError(f"mean must be positive, got {self.mean}")
 
     @property
     def mu(self) -> float:
-        return self.value
+        return self.mean
 
     def sample(self, rng: RandomSource, size=None):
         if size is None:
-            return self.value
-        return np.full(size, self.value)
+            return self.mean
+        return np.full(size, self.mean)
 
 
 WaitLaw = Union[Exponential, ParetoWait, GammaWait, DeterministicWait]

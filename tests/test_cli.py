@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from ctrwlab import cli
 from ctrwlab.cli import load_experiment_config, main
 from ctrwlab.errors import ExperimentConfigError
+from ctrwlab.harness import KINDS, build, describe
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -223,3 +225,63 @@ class TestConfigParsing:
         )
         with pytest.raises(ExperimentConfigError, match="unknown key"):
             load_experiment_config(cfg_path)
+
+
+LAW_KINDS = [(section, kind) for section in ("jump", "wait") for kind in KINDS[section]]
+
+
+class TestKindTable:
+    @pytest.mark.parametrize("section, kind", LAW_KINDS)
+    def test_echo_loads_back_to_the_same_law(self, tmp_path, section, kind):
+        law = build(section, kind)
+        lines = [f"{key} = {value}" for key, value in describe(law).items()]
+        cfg_path = tmp_path / "echo.cfg"
+        cfg_path.write_text("[experiment]\ntheorem = T2\n\n" + f"[{section}]\n" + "\n".join(lines))
+        cfg, _ = load_experiment_config(cfg_path)
+        assert getattr(cfg, section) == law
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("kind = gaussian", "kind = gaussian\nalpha = 1.2"),
+            ("kind = gauss_bump", "kind = gauss_bump\n\n[env]\nkind = shot_noise\n"
+             "kernel = bump\ndecay_beta = 3.0"),
+        ],
+    )
+    def test_key_of_another_kind_rejected(self, runner, tmp_path, old, new):
+        cfg_path = tmp_path / "mixed.cfg"
+        cfg_path.write_text(PASSING_CONFIG.replace(old, new))
+        with pytest.raises(ExperimentConfigError, match="takes no key"):
+            load_experiment_config(cfg_path)
+        result = runner.invoke(main, ["compare", "--config", str(cfg_path)])
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize("section, kind", LAW_KINDS)
+    def test_simulate_builds_the_ini_law(self, runner, tmp_path, monkeypatch, section, kind):
+        seen = []
+        real = cli.simulate_skeleton
+
+        def spy(jump, wait, *args, **kwargs):
+            seen.append({"jump": jump, "wait": wait})
+            return real(jump, wait, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_skeleton", spy)
+        result = runner.invoke(main, ["simulate", "--t", "20", f"--{section}", kind])
+        assert result.exit_code == 0, result.output
+        cfg_path = tmp_path / "law.cfg"
+        cfg_path.write_text(f"[experiment]\ntheorem = T2\n\n[{section}]\nkind = {kind}\n")
+        cfg, _ = load_experiment_config(cfg_path)
+        assert seen[0][section] == getattr(cfg, section)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--t", "20", "--jump", "gaussian", "--jump-alpha", "1.2"],
+            ["simulate", "--t", "20", "--wait", "exponential", "--wait-shape", "7"],
+            ["env", "--exp-moment", "--kernel", "bump", "--decay-beta", "3"],
+        ],
+    )
+    def test_flag_of_another_kind_rejected(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "takes no key" in result.output

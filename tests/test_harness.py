@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,10 @@ from ctrwlab.distances import ks_critical_value, ks_two_sample, wasserstein1
 from ctrwlab.environment import bump_kernel, periodic_env
 from ctrwlab.errors import DomainError, ExperimentConfigError
 from ctrwlab.harness import (
+    KINDS,
     ExperimentConfig,
+    build,
+    describe,
     emit_report,
     fdd_joint_check,
     report_csv,
@@ -21,7 +25,7 @@ from ctrwlab.harness import (
 )
 from ctrwlab.rng import spawn_rng
 from ctrwlab.stable import Gaussian, StableParams, SymmetricPareto, rademacher, sample_stable
-from ctrwlab.walk import Exponential, FunctionalSpec
+from ctrwlab.walk import DeterministicWait, Exponential, FunctionalSpec, ParetoWait
 
 SEED = 20240808
 
@@ -326,3 +330,45 @@ class TestWindowSuggestion:
         # displacement scale is (t/mu)^(1/alpha): a decade in t widens the
         # window by nearly 10^(2/3), shaved slightly by additive margins
         assert 3.5 < large / small < 10 ** (2.0 / 3.0) * 1.05
+
+
+class TestKindTable:
+    @pytest.mark.parametrize("section", ["jump", "wait"])
+    def test_law_keys_are_dataclass_fields(self, section):
+        for kind, (make, defaults) in KINDS[section].items():
+            if isinstance(make, type):
+                assert set(defaults) == {f.name for f in dataclasses.fields(make)}, kind
+
+    def test_defaults_fill_missing_keys(self):
+        assert build("wait", "pareto", {}) == ParetoWait(2.0, 0.5)
+        assert build("wait", "pareto", {"index": "3"}) == ParetoWait(3.0, 0.5)
+        assert build("jump", "rademacher") == rademacher()
+        assert build("env", "none") is None
+
+    @pytest.mark.parametrize(
+        "section, kind, key",
+        [
+            ("jump", "gaussian", "alpha"),
+            ("wait", "exponential", "shape"),
+            ("env", "none", "amplitude"),
+            ("kernel", "bump", "decay_beta"),
+            ("functional", "gauss_bump", "lo"),
+        ],
+    )
+    def test_key_of_another_kind_rejected(self, section, kind, key):
+        with pytest.raises(ExperimentConfigError, match=f"takes no key '{key}'"):
+            build(section, kind, {key: "1.0"})
+
+    def test_unknown_kind_and_bad_value_rejected(self):
+        with pytest.raises(ExperimentConfigError, match="unknown wait kind"):
+            build("wait", "weibull")
+        with pytest.raises(ExperimentConfigError, match="bad jump variance"):
+            build("jump", "gaussian", {"variance": "two"})
+
+    def test_describe_uses_ini_names_and_values(self):
+        assert describe(ParetoWait(2.0, 0.5)) == {"kind": "pareto", "index": 2.0, "x_min": 0.5}
+        assert describe(DeterministicWait(0.7)) == {"kind": "deterministic", "mean": 0.7}
+        assert describe(rademacher()) == {
+            "kind": "lattice", "a": 0.0, "b": 1.0, "weights": "-1:0.5,1:0.5"
+        }
+        assert describe(None) == {"kind": "none"}

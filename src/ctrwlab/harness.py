@@ -19,7 +19,6 @@ from multiprocessing import get_context
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .distances import ks_critical_value, ks_two_sample, wasserstein1
 from .environment import (
@@ -29,6 +28,7 @@ from .environment import (
     ShotNoiseEnv,
     _integrand_and_kinks,
     _panel_prefix,
+    _quad,
     _subdivide,
     bump_kernel,
     periodic_env,
@@ -151,7 +151,7 @@ def _box(lo: float, hi: float) -> FunctionalSpec:
     if lo >= hi:
         raise ExperimentConfigError("box functional needs lo < hi")
     return FunctionalSpec(
-        f=lambda x: ((x >= lo) & (x < hi)).astype(float), f_integral=hi - lo
+        f=lambda x: ((x >= lo) & (x < hi)).astype(float), breakpoints=(lo, hi)
     )
 
 
@@ -289,12 +289,16 @@ def quenched_integral(
     support_halfwidth: float,
     h_max: float = 0.25,
     order: int = 7,
+    points=(),
 ) -> float:
     """integral of g(x) / Lambda(x, gamma) dx over the fixed configuration,
-    by Gauss panels split at the kernel kinks."""
+    by Gauss panels split at the kernel kinks and at the ``points`` where
+    g jumps or kinks."""
     lo, hi = -support_halfwidth, support_halfwidth
     lambda_inv, kinks = _integrand_and_kinks(env, lo, hi)
-    breakpoints = _subdivide(np.unique(np.concatenate([[lo, hi], kinks])), h_max)
+    points = np.asarray(points, dtype=float)
+    inside = points[(points > lo) & (points < hi)]
+    breakpoints = _subdivide(np.unique(np.concatenate([[lo, hi], kinks, inside])), h_max)
 
     def integrand(x):
         return np.asarray(g(x), dtype=float) * lambda_inv(x)
@@ -303,23 +307,25 @@ def quenched_integral(
     return float(prefix[-1])
 
 
-def _quad_line(h, what: str) -> float:
-    """integral over the line of the vectorized ``h``, by adaptive quad."""
-    value, err = quad(lambda x: float(np.asarray(h(np.array([x])), dtype=float)[0]),
-                      -np.inf, np.inf, limit=400)
-    if err > 1e-8 * max(abs(value), 1e-12):
+def _quad_line(h, what: str, points) -> float:
+    """integral over the line of the vectorized ``h``, split at ``points``,
+    by double-exponential quadrature."""
+    value, err = _quad(h, -math.inf, math.inf, points)
+    if not err <= 1e-8 * max(abs(value), 1e-12):
         raise QuadratureError(f"integral of {what}: error estimate {err:.2e} too large")
-    return float(value)
+    return value
 
 
-def _integral_g_over_lambda(g, env: DeterministicEnv) -> float:
+def _integral_g_over_lambda(g, env: DeterministicEnv, points) -> float:
     return _quad_line(
-        lambda x: np.asarray(g(x), dtype=float) * env.lambda_inv_many(x), "g/Lambda"
+        lambda x: np.asarray(g(x), dtype=float) * env.lambda_inv_many(x),
+        "g/Lambda",
+        points,
     )
 
 
-def _integral_f(f) -> float:
-    return _quad_line(f, "f")
+def _integral_f(f, points) -> float:
+    return _quad_line(f, "f", points)
 
 
 # Worker context shared with forked processes; set immediately before the
@@ -478,7 +484,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         f_integral = (
             cfg.functional.f_integral
             if cfg.functional.f_integral is not None
-            else _integral_f(cfg.functional.f)
+            else _integral_f(cfg.functional.f, cfg.functional.breakpoints)
         )
     elif cfg.theorem == "T2-lattice":
         f_integral = lattice_limit_constant(cfg.jump, cfg.functional.f)
@@ -488,7 +494,9 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         f_integral = (
             cfg.functional.f_integral
             if cfg.functional.f_integral is not None
-            else _integral_g_over_lambda(cfg.functional.f, cfg.env)
+            else _integral_g_over_lambda(
+                cfg.functional.f, cfg.env, cfg.functional.breakpoints
+            )
         )
     else:  # T5
         halfwidth = cfg.env_window_halfwidth
@@ -510,7 +518,10 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         thm5_factor = theorem5_constant(cfg.kernel, alpha)
         env_constant = thm5_factor
         f_integral = quenched_integral(
-            cfg.functional.f, path_env, cfg.g_support_halfwidth
+            cfg.functional.f,
+            path_env,
+            cfg.g_support_halfwidth,
+            points=cfg.functional.breakpoints,
         )
 
     ctx = {

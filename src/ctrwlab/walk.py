@@ -227,11 +227,14 @@ class FunctionalSpec:
     evaluation time.  ``f_integral`` is the constant replacing the
     integral in the limit law (dx-integral of the effective integrand, or
     the lattice sum); it may be left None and filled in by the caller.
+    ``breakpoints`` are the points where ``f`` jumps or kinks; the
+    quadrature filling in ``f_integral`` splits there.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
     f_integral: Optional[float] = None
     variant: str = "plain"
+    breakpoints: tuple = ()
 
     def __post_init__(self):
         if self.variant not in ("plain", "env_divided"):

@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import ctrwlab
 from ctrwlab import cli
 from ctrwlab.cli import load_experiment_config, main
 from ctrwlab.errors import ExperimentConfigError
@@ -285,3 +289,36 @@ class TestKindTable:
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert "takes no key" in result.output
+
+
+# Imports the CLI, then runs tiny T2, T3 and T5 comparisons, each needing a
+# quadrature constant, and prints the scipy modules loaded along the way.
+SCIPY_PROBE = """
+import sys
+import ctrwlab.cli
+from ctrwlab.harness import ExperimentConfig, build, run_experiment
+
+for theorem, extra in (
+    ("T2", {}),
+    ("T3", {"env": build("env", "periodic_inverse")}),
+    ("T5", {"kernel": build("kernel", "bump")}),
+):
+    run_experiment(ExperimentConfig(
+        theorem=theorem, jump=build("jump", "symmetric_pareto"),
+        wait=build("wait", "exponential"), functional=build("functional", "gauss_bump"),
+        t=1000.0, u_grid=(1.0,), replicates=100, limit_replicates=100, **extra,
+    ))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_scipy_import_at_start_up_or_during_a_run():
+    src = os.path.dirname(os.path.dirname(ctrwlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE], env=env, capture_output=True,
+        text=True, timeout=300, check=True,
+    )
+    assert out.stdout.strip() == "[]"

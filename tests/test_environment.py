@@ -8,6 +8,8 @@ from ctrwlab.environment import (
     Kernel,
     PoissonConfig,
     ShotNoiseEnv,
+    _exp_phi_integral,
+    _quad,
     bump_kernel,
     cesaro_error,
     lambda_inv,
@@ -22,7 +24,7 @@ from ctrwlab.environment import (
     sup_growth_check,
     theorem5_constant,
 )
-from ctrwlab.errors import BoundaryError, DomainError
+from ctrwlab.errors import BoundaryError, DomainError, QuadratureError
 from ctrwlab.rng import spawn_rng
 
 SEED = 20240808
@@ -230,6 +232,71 @@ class TestTheorem5Constant:
         alpha = 1.5
         expected = mean_lambda_inv_analytic(k, 1.0) ** (1.0 / alpha - 1.0)
         assert theorem5_constant(k, alpha) == pytest.approx(expected, rel=1e-12)
+
+
+class TestQuadrature:
+    """The double-exponential rule behind every deterministic constant."""
+
+    def test_gaussian_constants(self):
+        # the T2 constant sqrt(pi), and the T3 constant 2 sqrt(pi): with
+        # 1/Lambda = 2 + sin(2 pi x) the odd part cancels
+        value, err = _quad(lambda x: np.exp(-(x**2)), -math.inf, math.inf)
+        assert value == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+        assert err < 1e-12
+        env = periodic_env(2.0, 1.0, 1.0)
+        value, _ = _quad(
+            lambda x: np.exp(-(x**2)) * env.lambda_inv_many(x), -math.inf, math.inf
+        )
+        assert value == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-14)
+
+    def test_bump_kernel_series(self):
+        # integral of (e^(A (1-|x|)^2) - 1) = 2 sum_n A^n / (n! (2n + 1))
+        a = math.log(2.0)
+        series = 2.0 * sum(a**n / (math.factorial(n) * (2 * n + 1)) for n in range(1, 40))
+        assert _exp_phi_integral(bump_kernel(a), 1.0) == pytest.approx(series, rel=1e-13)
+
+    def test_power_kernel_against_adaptive_quadrature(self):
+        quad = pytest.importorskip("scipy.integrate").quad
+        kernel = power_kernel()
+        r = kernel.cutoff_r
+
+        def h(y):
+            return math.expm1(float(kernel.phi(np.array([y]))[0]))
+
+        oracle = (
+            quad(h, -r, r, points=[0.0], limit=400, epsabs=1e-13)[0]
+            + quad(h, r, np.inf, limit=400, epsabs=1e-13)[0]
+            + quad(h, -np.inf, -r, limit=400, epsabs=1e-13)[0]
+        )
+        assert _exp_phi_integral(kernel, 1.0) == pytest.approx(oracle, rel=1e-12)
+
+    def test_finite_interval(self):
+        # integral of 1/Lambda over the T3 box [-1/2, 1/2]
+        env = periodic_env(2.0, 1.0, 1.0)
+        value, _ = _quad(env.lambda_inv_many, -0.5, 0.5)
+        assert value == pytest.approx(2.0, rel=1e-14)
+
+    def test_jump_needs_a_breakpoint(self):
+        def box(x):
+            return ((x >= -0.5) & (x < 0.5)).astype(float)
+
+        value, err = _quad(box, -math.inf, math.inf, points=(-0.5, 0.5))
+        assert value == pytest.approx(1.0, rel=1e-14)
+        assert err < 1e-12
+        _, err = _quad(box, -math.inf, math.inf)
+        assert err > 1e-6
+
+    def test_unresolved_kernel_raises(self):
+        # jumps at +-1/2, where the exp-moment rule does not split
+        kernel = Kernel(
+            phi=lambda x: 0.5 * (np.abs(x) < 0.5),
+            bound_c=1.0,
+            decay_beta=1.0,
+            cutoff_r=1.0,
+            compact_support=True,
+        )
+        with pytest.raises(QuadratureError):
+            mean_lambda_inv_analytic(kernel, 1.0)
 
 
 class TestCesaroError:

@@ -8,8 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrwlab.distances import ks_critical_value, ks_two_sample, wasserstein1
-from ctrwlab.environment import bump_kernel, periodic_env
-from ctrwlab.errors import DomainError, ExperimentConfigError
+from ctrwlab.environment import (
+    ShotNoiseEnv,
+    _integrand_and_kinks,
+    _quad,
+    bump_kernel,
+    periodic_env,
+    sample_config,
+)
+from ctrwlab.errors import DomainError, ExperimentConfigError, QuadratureError
 from ctrwlab.harness import (
     KINDS,
     ExperimentConfig,
@@ -17,6 +24,7 @@ from ctrwlab.harness import (
     describe,
     emit_report,
     fdd_joint_check,
+    quenched_integral,
     report_csv,
     report_json,
     run_experiment,
@@ -193,6 +201,45 @@ class TestRunExperiment:
         assert report.f_integral == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-6)
         assert report.env_constant == pytest.approx(2.0 ** (1.0 / 1.5 - 1.0), rel=1e-12)
         assert report.passed
+
+    def test_box_constants(self):
+        box = build("functional", "box", {})
+        # T2 integrates the box, T3 integrates 1/Lambda = 2 + sin(2 pi x) over it
+        t2 = run_experiment(small_config(functional=box, ks_threshold=1.0))
+        assert t2.f_integral == pytest.approx(1.0, rel=1e-14)
+        t3 = run_experiment(
+            small_config(
+                theorem="T3",
+                jump=SymmetricPareto(1.5),
+                env=periodic_env(2.0, 1.0, 1.0),
+                functional=box,
+                ks_threshold=1.0,
+            )
+        )
+        assert t3.f_integral == pytest.approx(2.0, abs=1e-10)
+
+    def test_quenched_box_splits_at_its_edges(self):
+        box = build("functional", "box", {})
+        env = ShotNoiseEnv(
+            kernel=bump_kernel(), config=sample_config((-50.0, 50.0), spawn_rng(SEED, "box"))
+        )
+        lambda_inv, kinks = _integrand_and_kinks(env, -0.5, 0.5)
+        expected, _ = _quad(lambda_inv, -0.5, 0.5, kinks)
+        assert quenched_integral(
+            box.f, env, 12.0, points=box.breakpoints
+        ) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("theorem", ["T2", "T3"])
+    def test_unresolvable_functional_raises(self, theorem):
+        # the spike of indicator_zero is narrower than any node spacing
+        cfg = small_config(
+            theorem=theorem,
+            jump=SymmetricPareto(1.5),
+            env=periodic_env(2.0, 1.0, 1.0) if theorem == "T3" else None,
+            functional=build("functional", "indicator_zero"),
+        )
+        with pytest.raises(QuadratureError):
+            run_experiment(cfg)
 
     def test_t5_quenched_pieces(self):
         cfg = small_config(

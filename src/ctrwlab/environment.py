@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -153,7 +153,12 @@ def load_config(source) -> PoissonConfig:
 @dataclass(frozen=True)
 class DeterministicEnv:
     """A fixed intensity profile Lambda(x) with its Cesaro average of
-    1/Lambda supplied analytically."""
+    1/Lambda supplied analytically.
+
+    ``lambda_bar_inv`` enters the T3 limit constant, and it also sizes the
+    draw blocks of walks in this environment (``simulate_skeleton``), so a
+    wrong value there costs time, not correctness.
+    """
 
     lambda_fn: Callable[[np.ndarray], np.ndarray]
     lambda_bar_inv: float
@@ -246,8 +251,9 @@ class ShotNoiseEnv:
     def lambda_many(self, x: np.ndarray) -> np.ndarray:
         return np.exp(-self.potential_many(x))
 
-    @property
+    @cached_property
     def lambda_bar_inv(self) -> float:
+        """E[1/Lambda] over configurations, computed once per environment."""
         return mean_lambda_inv_analytic(self.kernel, 1.0)
 
 
@@ -389,13 +395,13 @@ def _subdivide(breakpoints: np.ndarray, h_max: float) -> np.ndarray:
     n_extra = np.maximum(np.ceil(gaps / h_max).astype(int) - 1, 0)
     if not n_extra.any():
         return breakpoints
-    pieces = [breakpoints]
     idx = np.nonzero(n_extra)[0]
-    for i in idx:
-        pieces.append(
-            np.linspace(breakpoints[i], breakpoints[i + 1], n_extra[i] + 2)[1:-1]
-        )
-    return np.unique(np.concatenate(pieces))
+    counts = n_extra[idx]
+    # a + k (b - a)/(n + 1), k = 1..n, for each gap: linspace's interior points
+    k = np.arange(1, counts.sum() + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    step = np.repeat(gaps[idx] / (counts + 1), counts)
+    interior = np.repeat(breakpoints[idx], counts) + k * step
+    return np.unique(np.concatenate([breakpoints, interior]))
 
 
 def _integrand_and_kinks(env: EnvSpec, span_lo: float, span_hi: float):

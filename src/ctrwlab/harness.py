@@ -517,6 +517,9 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         path_env = ShotNoiseEnv(kernel=cfg.kernel, config=gamma_config)
         thm5_factor = theorem5_constant(cfg.kernel, alpha)
         env_constant = thm5_factor
+        # The Gauss panels cannot tell an unresolved spike from a zero
+        # integrand; the dx-integral's error estimate can.
+        _integral_f(cfg.functional.f, cfg.functional.breakpoints)
         f_integral = quenched_integral(
             cfg.functional.f,
             path_env,

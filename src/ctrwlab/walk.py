@@ -156,11 +156,19 @@ def simulate_skeleton(
     the inverse intensity at that site.  Generation stops at the first hold
     whose cumulative time exceeds the horizon; that hold is kept as the
     straddling entry.
+
+    Waits and jumps are drawn in blocks of 1.25 t / (mu lambda_bar_inv)
+    (at least 1024, at most 2**20): 25% above the expected number of
+    jumps, since the mean hold per jump is mu times the environment's mean
+    of 1/Lambda (1 without an environment).  ``env.lambda_bar_inv`` is only
+    this sizing hint: a walk that runs short draws another block, and the
+    path's law is the same for any block size.
     """
     if not horizon_t > 0.0:
         raise DomainError(f"horizon_t must be positive, got {horizon_t}")
 
-    block = int(min(max(1024, 1.25 * horizon_t / wait.mu), 2**20))
+    mean_hold = wait.mu if env is None else wait.mu * env.lambda_bar_inv
+    block = int(min(max(1024, 1.25 * horizon_t / mean_hold), 2**20))
     pos_chunks = [np.zeros(1)]
     hold_chunks = []
     elapsed = 0.0

@@ -10,6 +10,7 @@ from ctrwlab.environment import (
     ShotNoiseEnv,
     _exp_phi_integral,
     _quad,
+    _subdivide,
     bump_kernel,
     cesaro_error,
     lambda_inv,
@@ -321,6 +322,20 @@ class TestCesaroError:
         env = ShotNoiseEnv(kernel=bump_kernel(), config=cfg)
         with pytest.raises(BoundaryError):
             cesaro_error(env, 10.0, 2.0)
+
+    def test_subdivide_matches_per_gap_linspace(self):
+        rng = spawn_rng(SEED, "subdivide")
+        breakpoints = np.unique(np.concatenate([[0.0], rng.uniform(0.0, 50.0, 40)]))
+        expected = np.unique(
+            np.concatenate(
+                [breakpoints]
+                + [
+                    np.linspace(a, b, int(np.ceil((b - a) / 0.3)) + 1)[1:-1]
+                    for a, b in zip(breakpoints[:-1], breakpoints[1:])
+                ]
+            )
+        )
+        assert np.array_equal(_subdivide(breakpoints, 0.3), expected)
 
     def test_shotnoise_error_shrinks_with_t(self):
         # single-config smoke version of the Cesaro-convergence trend

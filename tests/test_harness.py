@@ -229,13 +229,14 @@ class TestRunExperiment:
             box.f, env, 12.0, points=box.breakpoints
         ) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("theorem", ["T2", "T3"])
+    @pytest.mark.parametrize("theorem", ["T2", "T3", "T5"])
     def test_unresolvable_functional_raises(self, theorem):
         # the spike of indicator_zero is narrower than any node spacing
         cfg = small_config(
             theorem=theorem,
             jump=SymmetricPareto(1.5),
             env=periodic_env(2.0, 1.0, 1.0) if theorem == "T3" else None,
+            kernel=bump_kernel(math.log(2.0)) if theorem == "T5" else None,
             functional=build("functional", "indicator_zero"),
         )
         with pytest.raises(QuadratureError):

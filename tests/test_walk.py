@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctrwlab.environment import DeterministicEnv, periodic_env
+from ctrwlab.environment import (
+    DeterministicEnv,
+    ShotNoiseEnv,
+    bump_kernel,
+    periodic_env,
+    sample_config,
+)
 from ctrwlab.errors import DivergentSumError, DomainError, JumpCapError, SimulationError
 from ctrwlab.rng import spawn_rng
 from ctrwlab.stable import Gaussian, Lattice, SymmetricPareto, rademacher
@@ -122,6 +129,58 @@ class TestSimulateSkeleton:
             PathSkeleton(
                 positions=np.zeros(2), holds=np.ones(2), horizon_t=1.5, n_jumps=2
             )
+
+
+@dataclasses.dataclass
+class CountingWait:
+    """Exponential(1) waits that record every block size asked for."""
+
+    sizes: list = dataclasses.field(default_factory=list)
+    mu: float = 1.0
+
+    def sample(self, rng, size=None):
+        self.sizes.append(size)
+        return rng.standard_exponential(size)
+
+
+class TestDrawBudget:
+    """Blocks are sized by the mean hold per jump, mu times the mean of
+    1/Lambda, so an environment walk draws about 1.25 waits per hold it
+    keeps rather than 1.25 lambda_bar_inv."""
+
+    @pytest.mark.parametrize(
+        "make_env",
+        [
+            lambda: flat_env(0.5),
+            lambda: periodic_env(2.0, 1.0, 1.0),
+            lambda: ShotNoiseEnv(
+                kernel=bump_kernel(math.log(2.0)),
+                config=sample_config((-2e5, 2e5), spawn_rng(SEED, "budget-config")),
+            ),
+        ],
+        ids=["flat", "periodic", "shot_noise"],
+    )
+    def test_waits_drawn_track_holds_used(self, make_env):
+        env = make_env()
+        wait = CountingWait()
+        used = 0
+        for k in range(30):
+            path = simulate_skeleton(
+                SymmetricPareto(1.5), wait, 1e4, spawn_rng(SEED, "budget", k), env=env
+            )
+            used += path.n_jumps + 1
+        assert sum(wait.sizes) <= 1.3 * used
+
+    def test_unit_flat_environment_matches_plain_walk(self):
+        plain = simulate_skeleton(
+            Gaussian(1.0), Exponential(1.0), 1e4, spawn_rng(SEED, "unit")
+        )
+        flat = simulate_skeleton(
+            Gaussian(1.0), Exponential(1.0), 1e4, spawn_rng(SEED, "unit"),
+            env=flat_env(1.0),
+        )
+        assert np.array_equal(plain.positions, flat.positions)
+        assert np.array_equal(plain.holds, flat.holds)
 
 
 class TestPositionAt:

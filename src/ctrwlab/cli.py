@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import contextlib
+import dataclasses
 import sys
 
 import click
@@ -24,6 +25,7 @@ from .environment import (
 )
 from .errors import CtrwLabError, DomainError, ExperimentConfigError
 from .harness import (
+    _PARSE,
     KINDS,
     ExperimentConfig,
     build,
@@ -213,21 +215,33 @@ def cmd_env(check_b3, exp_moment, n_list, moment_a, kernel_kind, seed, out,
                 fh.write(f"{n},{sup:.17g}\n")
 
 
-_CONFIG_SCHEMA = {
-    "experiment": {
-        "theorem", "t", "u_grid", "replicates", "limit_replicates",
-        "master_seed", "workers", "ks_threshold", "label", "fdd_pairs",
-        "allow_short_horizon", "g_support_halfwidth", "env_window_halfwidth",
-        "escape_probability",
-    },
-    "output": {"json", "csv"},
-}
+_OUTPUT_KEYS = ("json", "csv")
 # Sections whose kinds and keys come from the kind table.
 _KIND_SECTIONS = ("jump", "wait", "functional", "env")
+# The [experiment] keys and their defaults: every ExperimentConfig field but
+# the law sections.
+_EXPERIMENT_DEFAULTS = {
+    f.name: f.default for f in dataclasses.fields(ExperimentConfig) if f.name not in KINDS
+}
+
+
+def _experiment_value(exp, key):
+    """The value of ``[experiment] key``, read by its field's parser: the
+    harness ``_PARSE`` entry, else the type of the field's default."""
+    default = _EXPERIMENT_DEFAULTS[key]
+    try:
+        if isinstance(default, bool):
+            return exp.getboolean(key)
+        return _PARSE.get(key, type(default))(exp[key])
+    except ValueError as exc:
+        raise ExperimentConfigError(
+            f"bad experiment {key} {exp[key]!r}: {exc}"
+        ) from exc
 
 
 def load_experiment_config(path) -> tuple[ExperimentConfig, dict]:
-    """Parse an INI experiment file into an ExperimentConfig plus output paths."""
+    """Parse an INI experiment file into an ExperimentConfig plus output
+    paths.  A key left out or left empty takes the field's default."""
     # An inline comment needs whitespace before its ";", so the
     # semicolon-separated fdd_pairs value is left intact.
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
@@ -237,20 +251,21 @@ def load_experiment_config(path) -> tuple[ExperimentConfig, dict]:
         raise ExperimentConfigError(f"malformed config file: {exc}") from exc
     if not read:
         raise ExperimentConfigError(f"config file not found: {path}")
+    keys = {"experiment": _EXPERIMENT_DEFAULTS, "output": _OUTPUT_KEYS}
     for section in parser.sections():
         if section in _KIND_SECTIONS:
             continue
-        if section not in _CONFIG_SCHEMA:
+        if section not in keys:
             raise ExperimentConfigError(f"unknown config section [{section}]")
         for key in parser[section]:
-            if key not in _CONFIG_SCHEMA[section]:
+            if key not in keys[section]:
                 raise ExperimentConfigError(
                     f"unknown key {key!r} in section [{section}]"
                 )
     if "experiment" not in parser:
         raise ExperimentConfigError("config file needs an [experiment] section")
     exp = parser["experiment"]
-    built = {}
+    built = {key: _experiment_value(exp, key) for key in exp if exp[key].strip()}
     for section in _KIND_SECTIONS:
         values = dict(parser[section]) if section in parser else {}
         kind = values.pop("kind", next(iter(KINDS[section])))
@@ -258,41 +273,8 @@ def load_experiment_config(path) -> tuple[ExperimentConfig, dict]:
             built["kernel"] = build("kernel", values.pop("kernel", "bump"), values)
         else:
             built[section] = build(section, kind, values)
-    u_grid = tuple(
-        float(x) for x in exp.get("u_grid", "0.25,0.5,0.75,1.0").split(",")
-    )
-    fdd_pairs = ()
-    if exp.get("fdd_pairs"):
-        pairs = []
-        for chunk in exp["fdd_pairs"].split(";"):
-            a, b = chunk.split(",")
-            pairs.append((float(a), float(b)))
-        fdd_pairs = tuple(pairs)
-    cfg = ExperimentConfig(
-        theorem=exp.get("theorem", "T2"),
-        **built,
-        t=float(exp.get("t", "10000")),
-        u_grid=u_grid,
-        replicates=int(exp.get("replicates", "2000")),
-        limit_replicates=int(exp.get("limit_replicates", "2000")),
-        master_seed=int(exp.get("master_seed", "0")),
-        ks_threshold=float(exp.get("ks_threshold", "0.08")),
-        workers=int(exp.get("workers", "1")),
-        env_window_halfwidth=(
-            float(exp["env_window_halfwidth"])
-            if exp.get("env_window_halfwidth")
-            else None
-        ),
-        escape_probability=float(exp.get("escape_probability", "0.01")),
-        fdd_pairs=fdd_pairs,
-        g_support_halfwidth=float(exp.get("g_support_halfwidth", "12.0")),
-        label=exp.get("label", ""),
-        allow_short_horizon=exp.getboolean("allow_short_horizon", fallback=False),
-    )
-    outputs = {}
-    if "output" in parser:
-        outputs = {k: parser["output"][k] for k in parser["output"]}
-    return cfg, outputs
+    outputs = dict(parser["output"]) if "output" in parser else {}
+    return ExperimentConfig(**built), outputs
 
 
 @main.command("compare")

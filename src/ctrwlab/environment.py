@@ -409,16 +409,11 @@ def _integrand_and_kinks(env: EnvSpec, span_lo: float, span_hi: float):
     configuration points and the kernel support edges around them."""
     if not isinstance(env, ShotNoiseEnv):
         return env.lambda_inv_many, np.empty(0)
-    r = env.kernel.cutoff_r
-    need_lo, need_hi = span_lo - r, span_hi + r
-    if env.config.lo > need_lo or env.config.hi < need_hi:
-        raise BoundaryError(
-            f"config window [{env.config.lo:.6g}, {env.config.hi:.6g}] does "
-            f"not cover the required span [{need_lo:.6g}, {need_hi:.6g}]"
-        )
+    env._check_bounds(np.array([span_lo, span_hi]))
     # only points within r of the span put a kink inside it
+    r = env.kernel.cutoff_r
     pts = env.config.points
-    pts = pts[np.searchsorted(pts, need_lo) : np.searchsorted(pts, need_hi, side="right")]
+    pts = pts[np.searchsorted(pts, span_lo - r) : np.searchsorted(pts, span_hi + r, side="right")]
     kinks = np.concatenate([pts, pts - r, pts + r])
     return env.lambda_inv_many, kinks[(kinks > span_lo) & (kinks < span_hi)]
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from multiprocessing import get_context
 from typing import Optional
 
@@ -48,7 +48,6 @@ from .stable import (
     rademacher,
 )
 from .walk import (
-    DEFAULT_JUMP_CAP,
     DeterministicWait,
     Exponential,
     FunctionalSpec,
@@ -65,15 +64,18 @@ THEOREMS = ("T2", "T2-lattice", "T3", "T5")
 SCHEMA_VERSION = "2"
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one comparison run."""
+    """Everything needed to reproduce one comparison run.
 
-    theorem: str
+    The fields other than the five law sections of ``KINDS`` are the INI
+    ``[experiment]`` keys, with these defaults."""
+
+    theorem: str = "T2"
     jump: JumpLaw
     wait: WaitLaw
     functional: FunctionalSpec
-    t: float
+    t: float = 1e4
     u_grid: tuple = (0.25, 0.5, 0.75, 1.0)
     replicates: int = 2000
     limit_replicates: int = 2000
@@ -83,13 +85,10 @@ class ExperimentConfig:
     env: Optional[DeterministicEnv] = None
     kernel: Optional[Kernel] = None
     env_window_halfwidth: Optional[float] = None
-    escape_probability: float = 0.01
     # Quenched runs vary the walks while holding the configuration fixed:
     # the configuration stream defaults to the master seed but can be pinned.
     env_config_seed: Optional[int] = None
-    jump_cap: int = DEFAULT_JUMP_CAP
     fdd_pairs: tuple = ()
-    g_support_halfwidth: float = 12.0
     label: str = ""
     # Diagnostic trend runs compare against short horizons below the
     # production floor of t >= 1e3; they must opt in explicitly.
@@ -111,6 +110,8 @@ class ExperimentConfig:
             problems.append("ks_threshold must be in (0, 1]")
         if self.workers < 1:
             problems.append("workers must be >= 1")
+        if self.env_window_halfwidth is not None and not self.env_window_halfwidth > 0.0:
+            problems.append("env_window_halfwidth must be positive")
         if self.theorem == "T2":
             if not getattr(self.jump, "has_density", False):
                 problems.append(
@@ -164,6 +165,16 @@ def _format_weights(weights) -> str:
     return ",".join(f"{int(n)}:{float(p)!r}" for n, p in weights)
 
 
+def _parse_floats(text: str) -> tuple:
+    return tuple(float(x) for x in text.split(","))
+
+
+def _parse_pairs(text: str) -> tuple:
+    # unpacking raises ValueError for a chunk that is not one pair
+    pairs = (_parse_floats(chunk) for chunk in text.split(";"))
+    return tuple((a, b) for a, b in pairs)
+
+
 # The kind table: section -> kind -> (constructor, {key: default}).  The
 # first kind of a section is its default, and a kind takes exactly its keys.
 # For jump and wait laws the keys are the dataclass fields, so ``describe``
@@ -200,8 +211,15 @@ KINDS = {
     },
 }
 
-# Keys whose INI text is not a float.
-_PARSE = {"weights": _parse_weights}
+# Keys whose INI text is not a float (kind keys) or not read by the type of
+# the field's default (``[experiment]`` keys).
+_PARSE = {
+    "weights": _parse_weights,
+    "u_grid": _parse_floats,
+    "fdd_pairs": _parse_pairs,
+    "env_window_halfwidth": float,
+    "env_config_seed": int,
+}
 _FORMAT = {"weights": _format_weights}
 
 
@@ -283,20 +301,41 @@ def suggest_window_halfwidth(
     return scale * z + cutoff_r + 1.0
 
 
+# |g| beyond the quenched integral's span carries at most this share of its
+# integral over the line.
+_SPAN_TAIL_TOL = 1e-12
+
+
 def quenched_integral(
     g,
     env: ShotNoiseEnv,
-    support_halfwidth: float,
     h_max: float = 0.25,
     order: int = 7,
     points=(),
 ) -> float:
     """integral of g(x) / Lambda(x, gamma) dx over the fixed configuration,
     by Gauss panels split at the kernel kinks and at the ``points`` where
-    g jumps or kinks."""
-    lo, hi = -support_halfwidth, support_halfwidth
-    lambda_inv, kinks = _integrand_and_kinks(env, lo, hi)
+    g jumps or kinks.
+
+    The panels span [-H, H]: H doubles from max(1, |points|) until the
+    tails of |g| beyond it are at most ``_SPAN_TAIL_TOL`` of its integral,
+    and a span the configuration window does not cover raises
+    BoundaryError."""
     points = np.asarray(points, dtype=float)
+
+    def abs_g(x):
+        return np.abs(np.asarray(g(x), dtype=float))
+
+    def integral(a, b):
+        return _quad(abs_g, a, b, points)[0]
+
+    tol = _SPAN_TAIL_TOL * integral(-math.inf, math.inf)
+    hi = float(np.max(np.abs(points), initial=1.0))
+    while integral(-math.inf, -hi) + integral(hi, math.inf) > tol:
+        hi *= 2.0
+        env._check_bounds(np.array([-hi, hi]))
+    lo = -hi
+    lambda_inv, kinks = _integrand_and_kinks(env, lo, hi)
     inside = points[(points > lo) & (points < hi)]
     breakpoints = _subdivide(np.unique(np.concatenate([[lo, hi], kinks, inside])), h_max)
 
@@ -342,7 +381,6 @@ def _functional_task(k: int):
         ctx["t"],
         rng,
         env=ctx["path_env"],
-        jump_cap=ctx["jump_cap"],
     )
     return normalized_functional(
         path, ctx["functional"], ctx["jump"], ctx["t"], ctx["u_grid"],
@@ -414,27 +452,7 @@ class ComparisonReport:
     schema_version: str = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "theorem": self.theorem,
-            "label": self.label,
-            "master_seed": self.master_seed,
-            "t": self.t,
-            "replicates": self.replicates,
-            "limit_replicates": self.limit_replicates,
-            "sigma_used": self.sigma_used,
-            "beta_used": self.beta_used,
-            "mu": self.mu,
-            "f_integral": self.f_integral,
-            "env_constant": self.env_constant,
-            "limit_constant": self.limit_constant,
-            "theorem5_factor": self.theorem5_factor,
-            "config_echo": self.config_echo,
-            "rows": [vars(r).copy() for r in self.rows],
-            "fdd": [dict(f) for f in self.fdd],
-            "passed": self.passed,
-            "runtime_seconds": self.runtime_seconds,
-        }
+        return asdict(self)
 
 
 def fdd_joint_check(
@@ -507,7 +525,6 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
                 cfg.t,
                 cfg.replicates,
                 cfg.kernel.cutoff_r,
-                cfg.escape_probability,
             )
         config_seed = (
             cfg.env_config_seed if cfg.env_config_seed is not None else cfg.master_seed
@@ -523,7 +540,6 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         f_integral = quenched_integral(
             cfg.functional.f,
             path_env,
-            cfg.g_support_halfwidth,
             points=cfg.functional.breakpoints,
         )
 
@@ -535,7 +551,6 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         "u_grid": u_grid,
         "functional": cfg.functional,
         "path_env": path_env,
-        "jump_cap": cfg.jump_cap,
         "alpha": alpha,
         "beta": beta,
         "mu": mu,
@@ -597,7 +612,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         "limit_method": "exact-regenerative",
         "env_window_points": None if gamma_config is None else gamma_config.count,
         "f_integral_supplied": cfg.functional.f_integral,
-        "g_support_halfwidth": cfg.g_support_halfwidth,
+        "env_config_seed": cfg.env_config_seed,
     }
     runtime = time.perf_counter() - started
     return ComparisonReport(
@@ -641,19 +656,14 @@ def report_json(report: ComparisonReport) -> str:
     return json.dumps(report.to_dict(), indent=2, sort_keys=True)
 
 
+# The per-u CSV columns: every UComparison field but the verdict.
+_CSV_COLUMNS = tuple(f.name for f in fields(UComparison) if f.name not in ("threshold", "passed"))
+
+
 def report_csv(report: ComparisonReport) -> str:
-    header = (
-        "u,ks,w1,mean_func,mean_limit,q05_func,q50_func,q95_func,"
-        "q05_limit,q50_limit,q95_limit"
-    )
-    lines = [header]
+    lines = [",".join(_CSV_COLUMNS)]
     for r in report.rows:
-        lines.append(
-            f"{r.u:.17g},{r.ks:.17g},{r.w1:.17g},{r.mean_func:.17g},"
-            f"{r.mean_limit:.17g},{r.q05_func:.17g},{r.q50_func:.17g},"
-            f"{r.q95_func:.17g},{r.q05_limit:.17g},{r.q50_limit:.17g},"
-            f"{r.q95_limit:.17g}"
-        )
+        lines.append(",".join(f"{getattr(r, c):.17g}" for c in _CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

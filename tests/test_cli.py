@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import ctrwlab
 from ctrwlab import cli
 from ctrwlab.cli import load_experiment_config, main
 from ctrwlab.errors import ExperimentConfigError
-from ctrwlab.harness import KINDS, build, describe
+from ctrwlab.harness import KINDS, ExperimentConfig, build, describe
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -200,6 +201,28 @@ class TestCompare:
         assert cfg5.ks_threshold == 0.10
 
 
+EXPERIMENT_DEFAULTS = {
+    f.name: f.default for f in dataclasses.fields(ExperimentConfig) if f.name not in KINDS
+}
+
+# A value other than the default for every [experiment] key: INI text, field.
+EVERY_KEY = {
+    "theorem": ("T3", "T3"),
+    "t": ("2500", 2500.0),
+    "u_grid": ("0.5,1.0", (0.5, 1.0)),
+    "replicates": ("150", 150),
+    "limit_replicates": ("160", 160),
+    "master_seed": ("7", 7),
+    "ks_threshold": ("0.2", 0.2),
+    "workers": ("2", 2),
+    "env_window_halfwidth": ("5e4", 5e4),
+    "env_config_seed": ("11", 11),
+    "fdd_pairs": ("0.5,1.0", ((0.5, 1.0),)),
+    "label": ("round trip", "round trip"),
+    "allow_short_horizon": ("yes", True),
+}
+
+
 class TestConfigParsing:
     def test_readme_example_parses_as_documented(self, tmp_path):
         block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
@@ -221,7 +244,15 @@ class TestConfigParsing:
         cfg, _ = load_experiment_config(cfg_path)
         assert cfg.fdd_pairs == ((0.25, 0.5), (0.5, 1.0))
 
-    @pytest.mark.parametrize("key", ["limit_grid_per_unit = 5000", "limit_eps = 0.01"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "limit_grid_per_unit = 5000",
+            "limit_eps = 0.01",
+            "escape_probability = 0.01",
+            "g_support_halfwidth = 12",
+        ],
+    )
     def test_grid_sampler_keys_rejected(self, tmp_path, key):
         cfg_path = tmp_path / "old.cfg"
         cfg_path.write_text(
@@ -229,6 +260,67 @@ class TestConfigParsing:
         )
         with pytest.raises(ExperimentConfigError, match="unknown key"):
             load_experiment_config(cfg_path)
+
+    def test_every_experiment_key_loads(self, tmp_path):
+        assert set(EVERY_KEY) == set(EXPERIMENT_DEFAULTS)
+        cfg_path = tmp_path / "every.cfg"
+        cfg_path.write_text(
+            "[experiment]\n" + "".join(f"{k} = {text}\n" for k, (text, _) in EVERY_KEY.items())
+        )
+        cfg, _ = load_experiment_config(cfg_path)
+        for key, (_, value) in EVERY_KEY.items():
+            assert value != EXPERIMENT_DEFAULTS[key]
+            assert getattr(cfg, key) == value, key
+
+    def test_bare_experiment_section_takes_the_defaults(self, tmp_path):
+        cfg_path = tmp_path / "bare.cfg"
+        cfg_path.write_text("[experiment]\n")
+        cfg, outputs = load_experiment_config(cfg_path)
+        assert {key: getattr(cfg, key) for key in EXPERIMENT_DEFAULTS} == EXPERIMENT_DEFAULTS
+        assert cfg.jump == build("jump", "gaussian") and cfg.env is None
+        assert outputs == {}
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("\nreplicates = 120", "\nreplicates = 100.5", "replicates"),
+            ("ks_threshold = 0.2", "ks_threshold = 0.2\nfdd_pairs = 0.5", "fdd_pairs"),
+        ],
+    )
+    def test_bad_value_names_its_key(self, runner, tmp_path, old, new, key):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(PASSING_CONFIG.replace(old, new))
+        with pytest.raises(ExperimentConfigError, match=f"bad experiment {key} "):
+            load_experiment_config(cfg_path)
+        result = runner.invoke(main, ["compare", "--config", str(cfg_path)])
+        assert result.exit_code == 2
+        assert key in result.output
+
+    @pytest.mark.parametrize("halfwidth", ["0", "-5"])
+    def test_nonpositive_window_exit_two(self, runner, tmp_path, halfwidth):
+        cfg_path = tmp_path / "window.cfg"
+        cfg_path.write_text(
+            PASSING_CONFIG.replace(
+                "ks_threshold = 0.2", f"ks_threshold = 0.2\nenv_window_halfwidth = {halfwidth}"
+            )
+        )
+        result = runner.invoke(main, ["compare", "--config", str(cfg_path)])
+        assert result.exit_code == 2
+        assert "env_window_halfwidth must be positive" in result.output
+
+    def test_readme_experiment_table_lists_every_key(self, tmp_path):
+        # each row's default, written as an INI value (empty when unset),
+        # must load to the dataclass default
+        text = README.read_text()
+        table = text[text.index("| key | default | meaning |"):].split("\n\n")[0]
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", table, re.M)
+        assert sorted(key for key, _ in rows) == sorted(EXPERIMENT_DEFAULTS)
+        for key, default in rows:
+            value = re.fullmatch(r"`(.*)`|[^`]*", default.strip()).group(1) or ""
+            cfg_path = tmp_path / f"{key}.cfg"
+            cfg_path.write_text(f"[experiment]\n{key} = {value}\n")
+            cfg, _ = load_experiment_config(cfg_path)
+            assert getattr(cfg, key) == EXPERIMENT_DEFAULTS[key], key
 
 
 LAW_KINDS = [(section, kind) for section in ("jump", "wait") for kind in KINDS[section]]

@@ -150,6 +150,11 @@ class TestValidation:
         with pytest.raises(ExperimentConfigError):
             small_config(fdd_pairs=((0.1, 1.0),)).validate()
 
+    @pytest.mark.parametrize("halfwidth", [0.0, -5.0])
+    def test_window_must_be_positive(self, halfwidth):
+        with pytest.raises(ExperimentConfigError, match="env_window_halfwidth"):
+            small_config(env_window_halfwidth=halfwidth).validate()
+
 
 class TestRunExperiment:
     def test_degenerate_zero_functional(self):
@@ -218,15 +223,17 @@ class TestRunExperiment:
         )
         assert t3.f_integral == pytest.approx(2.0, abs=1e-10)
 
-    def test_quenched_box_splits_at_its_edges(self):
-        box = build("functional", "box", {})
+    @pytest.mark.parametrize("lo, hi", [(-0.5, 0.5), (-40.0, 40.0)], ids=["unit", "wide"])
+    def test_quenched_box_splits_at_its_edges(self, lo, hi):
+        # the span is derived from g: a box wider than any fixed span counts whole
+        box = build("functional", "box", {"lo": lo, "hi": hi})
         env = ShotNoiseEnv(
             kernel=bump_kernel(), config=sample_config((-50.0, 50.0), spawn_rng(SEED, "box"))
         )
-        lambda_inv, kinks = _integrand_and_kinks(env, -0.5, 0.5)
-        expected, _ = _quad(lambda_inv, -0.5, 0.5, kinks)
+        lambda_inv, kinks = _integrand_and_kinks(env, lo, hi)
+        expected, _ = _quad(lambda_inv, lo, hi, kinks)
         assert quenched_integral(
-            box.f, env, 12.0, points=box.breakpoints
+            box.f, env, points=box.breakpoints
         ) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("theorem", ["T2", "T3", "T5"])
@@ -303,6 +310,19 @@ class TestRunExperiment:
             small_config(master_seed=2, **{**shared, "env_config_seed": 992})
         )
         assert rep_c.f_integral != rep_a.f_integral
+
+    def test_echo_names_the_configuration_seed(self):
+        cfg = small_config(
+            theorem="T5",
+            jump=SymmetricPareto(1.5),
+            kernel=bump_kernel(math.log(2.0)),
+            ks_threshold=1.0,
+            env_config_seed=991,
+        )
+        echo = run_experiment(cfg).config_echo
+        assert echo["env_config_seed"] == 991
+        assert "g_support_halfwidth" not in echo
+        assert run_experiment(small_config()).config_echo["env_config_seed"] is None
 
 
 class TestFddJointCheck:

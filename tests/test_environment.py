@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,16 @@ class TestPoissonConfig:
         corr = np.corrcoef(left, right)[0, 1]
         assert abs(corr) < 0.05
 
+    def test_sorts_in_place(self):
+        # the sorted configuration is the only window-sized array built
+        tracemalloc.start()
+        try:
+            cfg = sample_config((-5e5, 5e5), spawn_rng(SEED, "in-place"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * cfg.points.nbytes
+
     def test_save_load_round_trip(self, tmp_path):
         cfg = sample_config((-3.0, 7.0), spawn_rng(SEED, "io"))
         dest = tmp_path / "config.txt"
@@ -180,6 +191,49 @@ class TestPotential:
         )
         # at the point itself the bump contributes its full amplitude
         assert lambda_inv(env, 5.0) == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.fixture(params=["bump", "power"])
+    def batch_env(self, request):
+        kernel = bump_kernel() if request.param == "bump" else power_kernel(0.5, 3.0, tail_tol=1e-3)
+        cfg = sample_config((-300.0, 300.0), spawn_rng(SEED, "batch", request.param))
+        xs = spawn_rng(SEED, "batch-sites", request.param).uniform(-250.0, 250.0, 2000)
+        return ShotNoiseEnv(kernel=kernel, config=cfg), xs
+
+    def test_batch_matches_scalar_bits(self, batch_env):
+        env, xs = batch_env
+        scalar = np.array([potential(env, x) for x in xs])
+        assert np.array_equal(env.potential_many(xs), scalar)
+
+    def test_reversed_batch_same_bits(self, batch_env):
+        env, xs = batch_env
+        assert np.array_equal(env.potential_many(xs[::-1])[::-1], env.potential_many(xs))
+
+    def test_work_cap_same_bits(self, batch_env):
+        env, xs = batch_env
+        assert np.array_equal(env.potential_many(xs, _work_cap=7), env.potential_many(xs))
+
+    def test_fsum_oracle(self, batch_env):
+        env, xs = batch_env
+        pts, r = env.config.points, env.kernel.cutoff_r
+        exact = np.array(
+            [
+                math.fsum(env.kernel.phi(x - pts[(pts >= x - r) & (pts <= x + r)]))
+                for x in xs
+            ]
+        )
+        np.testing.assert_allclose(env.potential_many(xs), exact, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "kernel", [bump_kernel(), power_kernel(0.5, 3.0, tail_tol=1e-3)], ids=["bump", "power"]
+    )
+    def test_far_apart_and_unreached_sites(self, kernel):
+        pts = np.array([-50.3, -50.1, -49.6, 49.8, 50.0, 50.4])
+        env = ShotNoiseEnv(kernel=kernel, config=PoissonConfig(pts, -200.0, 200.0))
+        sites = np.array([-50.2, 0.0, 50.1, 120.0])
+        out = env.potential_many(sites)
+        assert out[0] == potential(env, -50.2) > 0.0
+        assert out[2] == potential(env, 50.1) > 0.0
+        assert out[1] == 0.0 and out[3] == 0.0
 
 
 class TestExponentialMoment:

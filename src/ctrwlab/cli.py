@@ -32,7 +32,7 @@ from .harness import (
     emit_report,
     run_experiment,
 )
-from .levy import default_eps, dump_levy_path, local_time_zero, simulate_levy
+from .levy import sample_local_time_exact
 from .rng import spawn_rng
 from .stable import StableParams, sample_stable
 from .walk import dump_skeleton, simulate_skeleton
@@ -57,6 +57,10 @@ def _output(path):
             fh.close()
 
 
+# A seed is a nonnegative integer: it seeds a numpy SeedSequence.
+_seed_option = click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+
+
 @click.group()
 def main():
     """Stochastic-limit verification toolkit for continuous-time random walks."""
@@ -68,7 +72,7 @@ def main():
 @click.option("--scale", type=float, default=1.0, show_default=True)
 @click.option("--loc", type=float, default=0.0, show_default=True)
 @click.option("--n", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_option
 @click.option("--out", default="-", show_default=True)
 def cmd_sample_stable(alpha, beta, scale, loc, n, seed, out):
     """Write N stable draws, one per line."""
@@ -123,7 +127,7 @@ def _build_from_flags(section, kind, flags):
 @click.option("--env", "env_kind", type=click.Choice(("none", "periodic")), default="none", show_default=True)
 @click.option("--t", type=float, required=True)
 @click.option("--paths", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_option
 @click.option("--out", default="-", show_default=True)
 @click.option("--dump-skeleton", "dump_path", default=None,
               help="Write the first path in columnar form (k S_k h_(k+1)).")
@@ -153,32 +157,26 @@ def cmd_simulate(jump_kind, wait_kind, env_kind, t, paths, seed, out, dump_path,
 @main.command("local-time")
 @click.option("--alpha", type=float, required=True)
 @click.option("--beta", type=float, default=0.0, show_default=True)
-@click.option("--grid-n", type=int, default=100_000, show_default=True)
-@click.option("--horizon", type=float, default=1.0, show_default=True)
-@click.option("--eps", type=float, default=None, help="Defaults to 10 dt^(1/alpha).")
 @click.option("--paths", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_option
 @click.option("--u-grid", default="0.25,0.5,0.75,1.0", show_default=True)
 @click.option("--out", default="-", show_default=True)
-@click.option("--dump-path", "dump_path", default=None,
-              help="Write the first path in columnar form (k t_k Z_k).")
-def cmd_local_time(alpha, beta, grid_n, horizon, eps, paths, seed, u_grid, out,
-                   dump_path):
-    """Estimate local time at zero of stable Levy paths; CSV rows (path,u,value)."""
+def cmd_local_time(alpha, beta, paths, seed, u_grid, out):
+    """Draw the local time at zero of stable Levy paths exactly; CSV rows
+    (path,u,value)."""
     try:
-        StableParams(alpha, beta)
         u = tuple(float(x) for x in u_grid.split(","))
+        values = [
+            sample_local_time_exact(alpha, beta, u, spawn_rng(seed, "cli-local-time", k))
+            for k in range(paths)
+        ]
     except (DomainError, ValueError) as exc:
         raise click.UsageError(str(exc))
     with _output(out) as fh:
-        fh.write("path,u,eps,value\n")
-        for k in range(paths):
-            path = simulate_levy(alpha, beta, grid_n, horizon, spawn_rng(seed, "cli-local-time", k))
-            if k == 0 and dump_path is not None:
-                dump_levy_path(path, dump_path)
-            use_eps = eps if eps is not None else default_eps(alpha, grid_n, horizon)
-            for est in local_time_zero(path, use_eps, u):
-                fh.write(f"{k},{est.u:.17g},{est.eps:.17g},{est.value:.17g}\n")
+        fh.write("path,u,value\n")
+        for k, row in enumerate(values):
+            for ui, vi in zip(u, row):
+                fh.write(f"{k},{ui:.17g},{vi:.17g}\n")
 
 
 @main.command("env")
@@ -190,7 +188,7 @@ def cmd_local_time(alpha, beta, grid_n, horizon, eps, paths, seed, u_grid, out,
               default="bump", show_default=True)
 @_kind_option("--amplitude", "kernel", "amplitude")
 @_kind_option("--decay-beta", "kernel", "decay_beta")
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_option
 @click.option("--out", default="-", show_default=True)
 def cmd_env(check_b3, exp_moment, n_list, moment_a, kernel_kind, seed, out,
             **kernel_flags):
@@ -198,15 +196,18 @@ def cmd_env(check_b3, exp_moment, n_list, moment_a, kernel_kind, seed, out,
     if not (check_b3 or exp_moment):
         raise click.UsageError("choose one of --check-b3 or --exp-moment")
     kernel = _build_from_flags("kernel", kernel_kind, kernel_flags)
+    if not exp_moment:
+        try:
+            ns = sorted(int(x) for x in n_list.split(","))
+        except ValueError as exc:
+            raise click.UsageError(f"bad --n list: {exc}")
+        if ns[0] < 0:
+            raise click.UsageError(f"--n values must be nonnegative, got {ns[0]}")
     with _output(out) as fh:
         if exp_moment:
             value = mean_lambda_inv_analytic(kernel, moment_a)
             fh.write(f"a,mean_lambda_inv\n{moment_a:.17g},{value:.17g}\n")
         else:
-            try:
-                ns = sorted(int(x) for x in n_list.split(","))
-            except ValueError as exc:
-                raise click.UsageError(f"bad --n list: {exc}")
             halfwidth = max(ns) + kernel.cutoff_r + 1.0
             config = sample_config((-halfwidth, halfwidth), spawn_rng(seed, "cli-env"))
             env = ShotNoiseEnv(kernel=kernel, config=config)

@@ -133,6 +133,9 @@ def save_config(config: PoissonConfig, destination) -> None:
 
 
 def load_config(source) -> PoissonConfig:
+    """Read a configuration in the ``save_config`` format.  The points may
+    come in any order; they are sorted, and one outside the window raises
+    DomainError."""
     points = []
     lo = hi = None
     with open(source) as fh:
@@ -148,7 +151,10 @@ def load_config(source) -> PoissonConfig:
             points.append(float(line))
     if lo is None or hi is None:
         raise DomainError("config file lacks a window header line")
-    return PoissonConfig(points=np.asarray(points, dtype=float), lo=lo, hi=hi)
+    points = np.sort(np.asarray(points, dtype=float))
+    if points.size and not (lo <= points[0] and points[-1] <= hi):
+        raise DomainError(f"config points must lie in the window [{lo:.17g}, {hi:.17g}]")
+    return PoissonConfig(points=points, lo=lo, hi=hi)
 
 
 @dataclass(frozen=True)

@@ -110,6 +110,10 @@ class ExperimentConfig:
             problems.append("ks_threshold must be in (0, 1]")
         if self.workers < 1:
             problems.append("workers must be >= 1")
+        for key in ("master_seed", "env_config_seed"):
+            seed = getattr(self, key)
+            if seed is not None and seed < 0:
+                problems.append(f"{key} must be nonnegative, got {seed}")
         if self.env_window_halfwidth is not None and not self.env_window_halfwidth > 0.0:
             problems.append("env_window_halfwidth must be positive")
         if self.theorem == "T2":
@@ -383,8 +387,7 @@ def _functional_task(k: int):
         env=ctx["path_env"],
     )
     return normalized_functional(
-        path, ctx["functional"], ctx["jump"], ctx["t"], ctx["u_grid"],
-        env=ctx["path_env"],
+        path, ctx["functional"], ctx["jump"], ctx["t"], ctx["u_grid"]
     )
 
 

@@ -7,12 +7,13 @@ Two independent routes to the local time are kept:
   alpha in (1, 2] the inverse local time of the strictly stable motion is a
   positive stable subordinator of index gamma = 1 - 1/alpha, so the zero
   set can be generated excursion by excursion (regeneration) with no grid.
-  The limit draws of the comparison harness use this route.
+  The limit draws of the comparison harness and the ``local-time`` command
+  use this route.
 * ``simulate_levy`` plus ``local_time_zero`` simulate the process on a grid
   from its exact increment law (a standard draw scaled by dt^(1/alpha)) and
   estimate the local time as the occupation time of [-eps, eps] divided by
-  2 eps.  The ``local-time`` command uses this route, and the tests use it
-  as a cross-check of the exact sampler.
+  2 eps.  No command uses this route; the tests keep it as an independent
+  oracle for the exact sampler.
 """
 
 from __future__ import annotations
@@ -118,14 +119,6 @@ def default_eps(alpha: float, grid_n: int, horizon_u: float) -> float:
     """10x the grid resolution scale, per the precision precondition."""
     dt = horizon_u / grid_n
     return 10.0 * dt ** (1.0 / alpha)
-
-
-def dump_levy_path(path: LevyPath, destination) -> None:
-    """Columnar text dump, one grid point per line: ``k t_k Z(t_k)``."""
-    times = path.times
-    with open(destination, "w") as fh:
-        for k in range(path.grid_n + 1):
-            fh.write(f"{k} {times[k]:.17g} {path.values[k]:.17g}\n")
 
 
 def local_time_constant(alpha: float, beta: float) -> float:

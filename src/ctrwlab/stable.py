@@ -69,18 +69,16 @@ def stable_chf(params: StableParams, x):
     return out
 
 
-def sample_stable(params: StableParams, rng: RandomSource, size=None):
+def sample_stable(params: StableParams, rng: RandomSource, size):
     """Draw from the stable law by the uniform-angle/exponential transform.
 
     The transform is exact (no discretization bias).  Internally the skew
     enters with the opposite sign from our chf convention, which is checked
     against ``stable_chf`` by the empirical-chf tests.
     """
-    scalar = size is None
-    n = 1 if scalar else size
     alpha = params.alpha
-    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
-    w = rng.standard_exponential(n)
+    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
+    w = rng.standard_exponential(size)
     if alpha == 2.0:
         x = 2.0 * np.sin(u) * np.sqrt(w)
     else:
@@ -102,10 +100,7 @@ def sample_stable(params: StableParams, rng: RandomSource, size=None):
                 / np.cos(u) ** (1.0 / alpha)
                 * (np.cos(u - alpha * (u + theta0)) / w) ** ((1.0 - alpha) / alpha)
             )
-    out = params.location_a + params.scale_c ** (1.0 / alpha) * x
-    if scalar:
-        return float(out[0])
-    return out
+    return params.location_a + params.scale_c ** (1.0 / alpha) * x
 
 
 def empirical_chf(samples: np.ndarray, x_grid) -> np.ndarray:
@@ -156,13 +151,10 @@ class SymmetricPareto:
 
     beta_attr = 0.0
 
-    def sample(self, rng: RandomSource, size=None):
-        scalar = size is None
-        n = 1 if scalar else size
-        magnitude = self.x_min * rng.random(n) ** (-1.0 / self.alpha)
-        sign = rng.integers(0, 2, n) * 2.0 - 1.0
-        out = sign * magnitude
-        return float(out[0]) if scalar else out
+    def sample(self, rng: RandomSource, size):
+        magnitude = self.x_min * rng.random(size) ** (-1.0 / self.alpha)
+        sign = rng.integers(0, 2, size) * 2.0 - 1.0
+        return sign * magnitude
 
     def tail_probability(self, x: float) -> float:
         """P(|xi| > x), exact."""
@@ -211,13 +203,10 @@ class SkewedPareto:
         # tail-weight asymmetry p - q, negated into our chf convention
         return -(2.0 * self.p_right - 1.0)
 
-    def sample(self, rng: RandomSource, size=None):
-        scalar = size is None
-        n = 1 if scalar else size
-        magnitude = self.x_min * rng.random(n) ** (-1.0 / self.alpha)
-        sign = np.where(rng.random(n) < self.p_right, 1.0, -1.0)
-        out = sign * magnitude - self.centering_shift
-        return float(out[0]) if scalar else out
+    def sample(self, rng: RandomSource, size):
+        magnitude = self.x_min * rng.random(size) ** (-1.0 / self.alpha)
+        sign = np.where(rng.random(size) < self.p_right, 1.0, -1.0)
+        return sign * magnitude - self.centering_shift
 
 
 @dataclass(frozen=True)
@@ -239,10 +228,8 @@ class Gaussian:
         # the standard law at alpha=2 has chf exp(-x^2), i.e. variance 2
         return math.sqrt(self.variance / 2.0)
 
-    def sample(self, rng: RandomSource, size=None):
-        scalar = size is None
-        out = math.sqrt(self.variance) * rng.standard_normal(1 if scalar else size)
-        return float(out[0]) if scalar else out
+    def sample(self, rng: RandomSource, size):
+        return math.sqrt(self.variance) * rng.standard_normal(size)
 
 
 @dataclass(frozen=True)
@@ -287,14 +274,11 @@ class Lattice:
     def sigma_attr(self) -> float:
         return math.sqrt(self.variance / 2.0)
 
-    def sample(self, rng: RandomSource, size=None):
-        scalar = size is None
-        n = 1 if scalar else size
+    def sample(self, rng: RandomSource, size):
         values = np.array([self.offset + self.b * k for k, _ in self.weights])
         cum = np.cumsum([p for _, p in self.weights])
-        idx = np.searchsorted(cum, rng.random(n), side="right")
-        out = values[np.minimum(idx, len(values) - 1)]
-        return float(out[0]) if scalar else out
+        idx = np.searchsorted(cum, rng.random(size), side="right")
+        return values[np.minimum(idx, len(values) - 1)]
 
 
 def rademacher() -> Lattice:

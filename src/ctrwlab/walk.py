@@ -36,7 +36,7 @@ class Exponential:
     def mu(self) -> float:
         return self.mean
 
-    def sample(self, rng: RandomSource, size=None):
+    def sample(self, rng: RandomSource, size):
         return self.mean * rng.standard_exponential(size)
 
 
@@ -59,7 +59,7 @@ class ParetoWait:
     def mu(self) -> float:
         return self.index * self.x_min / (self.index - 1.0)
 
-    def sample(self, rng: RandomSource, size=None):
+    def sample(self, rng: RandomSource, size):
         return self.x_min * rng.random(size) ** (-1.0 / self.index)
 
 
@@ -76,7 +76,7 @@ class GammaWait:
     def mu(self) -> float:
         return self.shape * self.scale
 
-    def sample(self, rng: RandomSource, size=None):
+    def sample(self, rng: RandomSource, size):
         return rng.gamma(self.shape, self.scale, size)
 
 
@@ -92,9 +92,7 @@ class DeterministicWait:
     def mu(self) -> float:
         return self.mean
 
-    def sample(self, rng: RandomSource, size=None):
-        if size is None:
-            return self.mean
+    def sample(self, rng: RandomSource, size):
         return np.full(size, self.mean)
 
 
@@ -228,42 +226,28 @@ def position_at(path: PathSkeleton, s: float) -> float:
 
 @dataclass(frozen=True)
 class FunctionalSpec:
-    """The integrand of an additive functional.
+    """The integrand of the additive functional integral_0^(t u) f(X_s) ds.
 
-    ``variant="plain"`` integrates ``f(X_s)``; ``variant="env_divided"``
-    integrates ``f(X_s) / Lambda(X_s)`` and needs an environment at
-    evaluation time.  ``f_integral`` is the constant replacing the
-    integral in the limit law (dx-integral of the effective integrand, or
-    the lattice sum); it may be left None and filled in by the caller.
+    ``f_integral`` is the constant replacing the integral in the limit law
+    (dx-integral of f, of f/Lambda under an environment, or the lattice
+    sum); it may be left None and filled in by the caller.
     ``breakpoints`` are the points where ``f`` jumps or kinks; the
     quadrature filling in ``f_integral`` splits there.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
     f_integral: Optional[float] = None
-    variant: str = "plain"
     breakpoints: tuple = ()
 
     def __post_init__(self):
-        if self.variant not in ("plain", "env_divided"):
-            raise DomainError(f"unknown variant {self.variant!r}")
         if self.f_integral is not None and not math.isfinite(self.f_integral):
             raise DomainError("f_integral must be finite when supplied")
-
-    def values_at(self, sites: np.ndarray, env=None) -> np.ndarray:
-        vals = np.asarray(self.f(sites), dtype=float)
-        if self.variant == "env_divided":
-            if env is None:
-                raise DomainError("env_divided functional requires an environment")
-            vals = vals * np.asarray(env.lambda_inv_many(sites), dtype=float)
-        return vals
 
 
 def additive_functional(
     path: PathSkeleton,
     spec: FunctionalSpec,
     u_grid,
-    env=None,
 ) -> np.ndarray:
     """Exact values of integral_0^(t u) f(X_s) ds for each u in ``u_grid``.
 
@@ -273,7 +257,7 @@ def additive_functional(
     u = np.atleast_1d(np.asarray(u_grid, dtype=float))
     if np.any(u < 0.0) or np.any(u > 1.0):
         raise DomainError("u_grid must lie in [0, 1]")
-    fvals = spec.values_at(path.positions, env=env)
+    fvals = np.asarray(spec.f(path.positions), dtype=float)
     tau = np.concatenate(([0.0], np.cumsum(path.holds)))
     prefix = np.concatenate(([0.0], np.cumsum(path.holds * fvals)))
     cutoffs = u * path.horizon_t
@@ -287,11 +271,10 @@ def normalized_functional(
     law: JumpLaw,
     t: float,
     u_grid,
-    env=None,
 ) -> np.ndarray:
     """c_t-scaled additive functional, with c_t from the jump law's
     attraction metadata (sigma t^(1/alpha - 1) under normal attraction)."""
-    return norm_constant(law, t) * additive_functional(path, spec, u_grid, env=env)
+    return norm_constant(law, t) * additive_functional(path, spec, u_grid)
 
 
 def lattice_limit_constant(

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,8 @@ from ctrwlab import cli
 from ctrwlab.cli import load_experiment_config, main
 from ctrwlab.errors import ExperimentConfigError
 from ctrwlab.harness import KINDS, ExperimentConfig, build, describe
+from ctrwlab.levy import sample_local_time_exact
+from ctrwlab.rng import spawn_rng
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -103,18 +106,48 @@ class TestSimulate:
 
 
 class TestLocalTime:
+    ARGS = ["local-time", "--alpha", "1.5", "--beta", "0.3", "--paths", "3",
+            "--u-grid", "0.5,1.0,2.0", "--seed", "4"]
+
     def test_csv_shape(self, runner, tmp_path):
         out = tmp_path / "lt.csv"
         result = runner.invoke(
             main,
             [
-                "local-time", "--alpha", "2", "--grid-n", "2000", "--paths", "2",
+                "local-time", "--alpha", "2", "--paths", "2",
                 "--u-grid", "0.5,1.0", "--seed", "3", "--out", str(out),
             ],
         )
         assert result.exit_code == 0
         lines = out.read_text().strip().split("\n")
+        assert lines[0] == "path,u,value"
         assert len(lines) == 1 + 2 * 2
+
+    def test_same_seed_same_output(self, runner):
+        first = runner.invoke(main, self.ARGS)
+        second = runner.invoke(main, self.ARGS)
+        assert first.exit_code == 0
+        assert first.output == second.output
+
+    def test_values_are_exact_draws(self, runner):
+        result = runner.invoke(main, self.ARGS)
+        rows = [line.split(",") for line in result.output.strip().split("\n")[1:]]
+        u = (0.5, 1.0, 2.0)
+        for k in range(3):
+            expected = sample_local_time_exact(1.5, 0.3, u, spawn_rng(4, "cli-local-time", k))
+            got = [(float(ui), float(vi)) for path, ui, vi in rows if int(path) == k]
+            assert got == list(zip(u, expected))
+
+    @pytest.mark.parametrize(
+        "args", [["--u-grid", "0.5,0.25"], ["--grid-n", "2000"], ["--alpha", "0.5"]]
+    )
+    def test_usage_errors_exit_two_before_writing(self, runner, tmp_path, args):
+        out = tmp_path / "lt.csv"
+        result = runner.invoke(
+            main, ["local-time", "--alpha", "2", *args, "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert not out.exists()
 
 
 class TestEnv:
@@ -136,6 +169,27 @@ class TestEnv:
     def test_requires_an_action(self, runner):
         result = runner.invoke(main, ["env"])
         assert result.exit_code == 2
+
+    def test_negative_n_exit_two(self, runner, tmp_path):
+        out = tmp_path / "b3.csv"
+        result = runner.invoke(main, ["env", "--check-b3", "--n=-5", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "nonnegative" in result.output
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sample-stable", "--alpha", "1.5"],
+        ["simulate", "--t", "10"],
+        ["local-time", "--alpha", "1.5"],
+        ["env", "--check-b3", "--n", "10"],
+    ],
+)
+def test_negative_seed_is_a_usage_error(runner, command):
+    result = runner.invoke(main, command + ["--seed", "-1"])
+    assert result.exit_code == 2
 
 
 class TestCompare:
@@ -179,6 +233,21 @@ class TestCompare:
         cfg.write_text(PASSING_CONFIG.replace("ks_threshold = 0.2", "ks_threshold = 0.001"))
         result = runner.invoke(main, ["compare", "--config", str(cfg)])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "seeds, flags",
+        [
+            ("master_seed = 20240808", ["--seed", "-1"]),
+            ("master_seed = -1", []),
+            ("master_seed = 1\nenv_config_seed = -1", []),
+        ],
+    )
+    def test_negative_seed_exit_two(self, runner, tmp_path, seeds, flags):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(PASSING_CONFIG.replace("master_seed = 20240808", seeds))
+        result = runner.invoke(main, ["compare", "--config", str(cfg), *flags])
+        assert result.exit_code == 2
+        assert "config error" in result.output and "must be nonnegative" in result.output
 
     def test_validation_failure_exit_two(self, runner, tmp_path):
         cfg = tmp_path / "invalid.cfg"
@@ -414,3 +483,18 @@ def test_no_scipy_import_at_start_up_or_during_a_run():
         text=True, timeout=300, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_command_examples_run(runner, tmp_path, monkeypatch):
+    # every example of the README's "Command line" block but the full-size
+    # compare run, so the examples keep step with the flags
+    text = README.read_text()
+    block = text[text.index("## Command line"):].split("```")[1]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [c for c in commands if c and c[0] == "ctrwlab" and c[1] != "compare"]
+    assert len(commands) >= 5
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        result = runner.invoke(main, command[1:])
+        assert result.exit_code == 0, (command, result.output)

@@ -135,6 +135,25 @@ class TestPoissonConfig:
         assert loaded.lo == cfg.lo and loaded.hi == cfg.hi
         assert np.array_equal(loaded.points, cfg.points)
 
+    def test_load_sorts_unordered_points(self, tmp_path):
+        dest = tmp_path / "config.txt"
+        dest.write_text("# window -10 10\n6.2\n-5.2\n0.1\n5.5\n-4.9\n0.4\n")
+        loaded = load_config(dest)
+        assert np.array_equal(loaded.points, [-5.2, -4.9, 0.1, 0.4, 5.5, 6.2])
+        env = ShotNoiseEnv(kernel=bump_kernel(1.0), config=loaded)
+        # phi = (1 - |x - y|)^2 summed by hand: 0.8^2 + 0.9^2, 0.9^2 + 0.6^2,
+        # 0.7^2 + 0.6^2
+        assert env.potential_many(np.array([-5.0, 0.0, 5.8])) == pytest.approx(
+            [1.45, 1.17, 0.85], rel=1e-12
+        )
+
+    @pytest.mark.parametrize("point", ["10.5", "-11", "nan"])
+    def test_load_rejects_a_point_outside_the_window(self, tmp_path, point):
+        dest = tmp_path / "config.txt"
+        dest.write_text(f"# window -10 10\n0.1\n{point}\n")
+        with pytest.raises(DomainError, match="window"):
+            load_config(dest)
+
 
 class TestPotential:
     def test_empty_config(self):

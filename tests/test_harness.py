@@ -150,6 +150,12 @@ class TestValidation:
         with pytest.raises(ExperimentConfigError):
             small_config(fdd_pairs=((0.1, 1.0),)).validate()
 
+    @pytest.mark.parametrize("key", ["master_seed", "env_config_seed"])
+    def test_negative_seed_rejected(self, key):
+        with pytest.raises(ExperimentConfigError, match=f"{key} must be nonnegative"):
+            small_config(**{key: -1}).validate()
+        small_config(**{key: 0}).validate()
+
     @pytest.mark.parametrize("halfwidth", [0.0, -5.0])
     def test_window_must_be_positive(self, halfwidth):
         with pytest.raises(ExperimentConfigError, match="env_window_halfwidth"):

@@ -275,23 +275,6 @@ class TestAdditiveFunctional:
                 inc += (b - a) * math.cos(path.positions[k])
         assert v2 - v1 == pytest.approx(inc, rel=1e-10)
 
-    def test_plain_and_env_divided_agree_at_unit_intensity(self):
-        env = flat_env(1.0)
-        path = simulate_skeleton(
-            Gaussian(1.0), Exponential(1.0), 40.0, spawn_rng(SEED, "unit"), env=env
-        )
-        f = lambda x: np.exp(-np.abs(x))
-        plain = additive_functional(
-            path, FunctionalSpec(f=f, f_integral=None), [0.5, 1.0]
-        )
-        divided = additive_functional(
-            path,
-            FunctionalSpec(f=f, f_integral=None, variant="env_divided"),
-            [0.5, 1.0],
-            env=env,
-        )
-        assert np.allclose(plain, divided, rtol=1e-14)
-
     def test_u_out_of_range(self):
         path = simulate_skeleton(
             Gaussian(1.0), Exponential(1.0), 10.0, spawn_rng(SEED, "u")

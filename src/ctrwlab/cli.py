@@ -164,6 +164,8 @@ def cmd_simulate(jump_kind, wait_kind, env_kind, t, paths, seed, out, dump_path,
 def cmd_local_time(alpha, beta, paths, seed, u_grid, out):
     """Draw the local time at zero of stable Levy paths exactly; CSV rows
     (path,u,value)."""
+    if paths < 1:
+        raise click.UsageError("--paths must be at least 1")
     try:
         u = tuple(float(x) for x in u_grid.split(","))
         values = [

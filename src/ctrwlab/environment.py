@@ -356,24 +356,27 @@ def _quad(h, a: float, b: float, points=()) -> tuple[float, float]:
     return value, err
 
 
-def _exp_phi_integral(kernel: Kernel, a: float, rel_tol: float = 1e-8) -> float:
-    """integral over the line of (exp(a phi(y)) - 1) dy with an error check;
-    the rule splits where kernels kink: at 0 and at the cutoff."""
+def _quad_line(h, what: str, points, a: float = -math.inf, b: float = math.inf) -> float:
+    """integral of the vectorized ``h`` over [a, b], the line by default,
+    split at ``points``, by ``_quad``.  An error estimate above 1e-8 of the
+    value raises QuadratureError: the rule cannot resolve ``h``."""
+    value, err = _quad(h, a, b, points)
+    if not err <= 1e-8 * max(abs(value), 1e-12):
+        raise QuadratureError(f"integral of {what}: error estimate {err:.2e} too large")
+    return value
+
+
+def _exp_phi_integral(kernel: Kernel, a: float) -> float:
+    """integral over the line of (exp(a phi(y)) - 1) dy by the checked rule
+    ``_quad_line``, split where kernels kink: at 0 and at the cutoff."""
     if a == 0.0:
         return 0.0
     r = kernel.cutoff_r
-    value, err = _quad(
+    return _quad_line(
         lambda y: np.expm1(a * np.asarray(kernel.phi(y), dtype=float)),
-        -math.inf,
-        math.inf,
-        points=(-r, 0.0, r),
+        "exp(a phi) - 1",
+        (-r, 0.0, r),
     )
-    if not err <= rel_tol * max(abs(value), 1e-12):
-        raise QuadratureError(
-            f"exp-moment integral error estimate {err:.3e} exceeds "
-            f"relative tolerance {rel_tol:.1e} (value {value:.6e})"
-        )
-    return value
 
 
 def mean_lambda_inv_analytic(kernel: Kernel, a: float) -> float:

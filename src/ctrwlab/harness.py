@@ -27,16 +27,14 @@ from .environment import (
     PoissonConfig,
     ShotNoiseEnv,
     _integrand_and_kinks,
-    _panel_prefix,
     _quad,
-    _subdivide,
+    _quad_line,
     bump_kernel,
     periodic_env,
     power_kernel,
     sample_config,
-    theorem5_constant,
 )
-from .errors import ExperimentConfigError, QuadratureError, ReportIOError
+from .errors import ExperimentConfigError, ReportIOError
 from .levy import sample_limit_rv
 from .rng import RandomSource, spawn_rng
 from .stable import (
@@ -310,60 +308,40 @@ def suggest_window_halfwidth(
 _SPAN_TAIL_TOL = 1e-12
 
 
-def quenched_integral(
-    g,
-    env: ShotNoiseEnv,
-    h_max: float = 0.25,
-    order: int = 7,
-    points=(),
-) -> float:
+def quenched_integral(g, env: ShotNoiseEnv, points=()) -> float:
     """integral of g(x) / Lambda(x, gamma) dx over the fixed configuration,
-    by Gauss panels split at the kernel kinks and at the ``points`` where
-    g jumps or kinks.
+    by ``_integral_g_over_lambda`` on [-H, H].
 
-    The panels span [-H, H]: H doubles from max(1, |points|) until the
-    tails of |g| beyond it are at most ``_SPAN_TAIL_TOL`` of its integral,
-    and a span the configuration window does not cover raises
-    BoundaryError."""
+    H doubles from max(1, |points|) until the tails of |g| beyond it are at
+    most ``_SPAN_TAIL_TOL`` of its integral, which the checked rule computes,
+    so a g it cannot resolve raises QuadratureError.  A span the
+    configuration window does not cover raises BoundaryError."""
     points = np.asarray(points, dtype=float)
 
     def abs_g(x):
         return np.abs(np.asarray(g(x), dtype=float))
 
-    def integral(a, b):
+    def tail(a, b):
         return _quad(abs_g, a, b, points)[0]
 
-    tol = _SPAN_TAIL_TOL * integral(-math.inf, math.inf)
+    tol = _SPAN_TAIL_TOL * _quad_line(abs_g, "|g|", points)
     hi = float(np.max(np.abs(points), initial=1.0))
-    while integral(-math.inf, -hi) + integral(hi, math.inf) > tol:
+    while tail(-math.inf, -hi) + tail(hi, math.inf) > tol:
         hi *= 2.0
         env._check_bounds(np.array([-hi, hi]))
-    lo = -hi
+    return _integral_g_over_lambda(g, env, points, -hi, hi)
+
+
+def _integral_g_over_lambda(g, env, points, lo=-math.inf, hi=math.inf) -> float:
+    """integral of g / Lambda over [lo, hi] by the checked rule, split at
+    ``points`` and at the kinks of 1/Lambda (a shot-noise environment's)."""
     lambda_inv, kinks = _integrand_and_kinks(env, lo, hi)
-    inside = points[(points > lo) & (points < hi)]
-    breakpoints = _subdivide(np.unique(np.concatenate([[lo, hi], kinks, inside])), h_max)
-
-    def integrand(x):
-        return np.asarray(g(x), dtype=float) * lambda_inv(x)
-
-    prefix = _panel_prefix(integrand, breakpoints, order=order)
-    return float(prefix[-1])
-
-
-def _quad_line(h, what: str, points) -> float:
-    """integral over the line of the vectorized ``h``, split at ``points``,
-    by double-exponential quadrature."""
-    value, err = _quad(h, -math.inf, math.inf, points)
-    if not err <= 1e-8 * max(abs(value), 1e-12):
-        raise QuadratureError(f"integral of {what}: error estimate {err:.2e} too large")
-    return value
-
-
-def _integral_g_over_lambda(g, env: DeterministicEnv, points) -> float:
     return _quad_line(
-        lambda x: np.asarray(g(x), dtype=float) * env.lambda_inv_many(x),
+        lambda x: np.asarray(g(x), dtype=float) * lambda_inv(x),
         "g/Lambda",
-        points,
+        (*points, *kinks),
+        lo,
+        hi,
     )
 
 
@@ -497,29 +475,10 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     u_grid = tuple(float(u) for u in cfg.u_grid)
 
     path_env = None
-    thm5_factor = None
-    env_constant = 1.0
     gamma_config: Optional[PoissonConfig] = None
-
-    if cfg.theorem == "T2":
-        f_integral = (
-            cfg.functional.f_integral
-            if cfg.functional.f_integral is not None
-            else _integral_f(cfg.functional.f, cfg.functional.breakpoints)
-        )
-    elif cfg.theorem == "T2-lattice":
-        f_integral = lattice_limit_constant(cfg.jump, cfg.functional.f)
-    elif cfg.theorem == "T3":
+    if cfg.theorem == "T3":
         path_env = cfg.env
-        env_constant = cfg.env.lambda_bar_inv ** (1.0 / alpha - 1.0)
-        f_integral = (
-            cfg.functional.f_integral
-            if cfg.functional.f_integral is not None
-            else _integral_g_over_lambda(
-                cfg.functional.f, cfg.env, cfg.functional.breakpoints
-            )
-        )
-    else:  # T5
+    elif cfg.theorem == "T5":
         halfwidth = cfg.env_window_halfwidth
         if halfwidth is None:
             halfwidth = suggest_window_halfwidth(
@@ -535,16 +494,24 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         env_rng = spawn_rng(config_seed, "environment")
         gamma_config = sample_config((-halfwidth, halfwidth), env_rng)
         path_env = ShotNoiseEnv(kernel=cfg.kernel, config=gamma_config)
-        thm5_factor = theorem5_constant(cfg.kernel, alpha)
-        env_constant = thm5_factor
-        # The Gauss panels cannot tell an unresolved spike from a zero
-        # integrand; the dx-integral's error estimate can.
-        _integral_f(cfg.functional.f, cfg.functional.breakpoints)
-        f_integral = quenched_integral(
-            cfg.functional.f,
-            path_env,
-            points=cfg.functional.breakpoints,
-        )
+    # T3 and T5 share the constant mean(1/Lambda)^(1/alpha - 1); for T5 the
+    # mean is over configurations, exp(integral of (e^phi - 1)).
+    env_constant = 1.0
+    if path_env is not None:
+        env_constant = path_env.lambda_bar_inv ** (1.0 / alpha - 1.0)
+    thm5_factor = env_constant if cfg.theorem == "T5" else None
+
+    spec = cfg.functional
+    if spec.f_integral is not None:
+        f_integral = spec.f_integral
+    elif cfg.theorem == "T2-lattice":
+        f_integral = lattice_limit_constant(cfg.jump, spec.f)
+    elif cfg.theorem == "T5":
+        f_integral = quenched_integral(spec.f, path_env, spec.breakpoints)
+    elif cfg.theorem == "T3":
+        f_integral = _integral_g_over_lambda(spec.f, path_env, spec.breakpoints)
+    else:
+        f_integral = _integral_f(spec.f, spec.breakpoints)
 
     ctx = {
         "master_seed": cfg.master_seed,

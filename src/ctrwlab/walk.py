@@ -230,7 +230,8 @@ class FunctionalSpec:
 
     ``f_integral`` is the constant replacing the integral in the limit law
     (dx-integral of f, of f/Lambda under an environment, or the lattice
-    sum); it may be left None and filled in by the caller.
+    sum); a supplied value is taken on every theorem, and None leaves it to
+    the harness.
     ``breakpoints`` are the points where ``f`` jumps or kinks; the
     quadrature filling in ``f_integral`` splits there.
     """

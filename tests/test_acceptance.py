@@ -226,7 +226,8 @@ def test_08_quenched_comparison():
         theorem="T5",
         jump=SymmetricPareto(1.5),
         wait=Exponential(1.0),
-        functional=gauss_bump(),
+        # leave f_integral unset: the limit takes the quenched integral of g/Lambda
+        functional=FunctionalSpec(f=gauss_bump().f),
         kernel=kernel,
         t=1e4,
         replicates=2000,

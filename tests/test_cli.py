@@ -139,7 +139,14 @@ class TestLocalTime:
             assert got == list(zip(u, expected))
 
     @pytest.mark.parametrize(
-        "args", [["--u-grid", "0.5,0.25"], ["--grid-n", "2000"], ["--alpha", "0.5"]]
+        "args",
+        [
+            ["--u-grid", "0.5,0.25"],
+            ["--grid-n", "2000"],
+            ["--alpha", "0.5"],
+            ["--paths", "0"],
+            ["--paths", "-3"],
+        ],
     )
     def test_usage_errors_exit_two_before_writing(self, runner, tmp_path, args):
         out = tmp_path / "lt.csv"
@@ -483,6 +490,31 @@ def test_no_scipy_import_at_start_up_or_during_a_run():
         text=True, timeout=300, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+HOOK_PROBE = """
+import importlib.util, sys
+from ctrwlab.stable import SymmetricPareto
+spec = importlib.util.spec_from_file_location("compare_run", sys.argv[1])
+compare_run = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_run)
+compare_run.install_tracing(compare_run.Tracer(), SymmetricPareto)
+"""
+
+
+def test_benchmark_tracing_hooks_resolve():
+    # the benchmark's traced run wraps package attributes by name, so a
+    # refactor that drops one must fail here; the wrappers stay in the child
+    src = os.path.dirname(os.path.dirname(ctrwlab.__file__))
+    runner_script = Path(src).parent / "benchmarks" / "compare_run.py"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    out = subprocess.run(
+        [sys.executable, "-c", HOOK_PROBE, str(runner_script)], env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def test_readme_command_examples_run(runner, tmp_path, monkeypatch):

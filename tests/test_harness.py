@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from ctrwlab.distances import ks_critical_value, ks_two_sample, wasserstein1
 from ctrwlab.environment import (
+    PoissonConfig,
     ShotNoiseEnv,
     _integrand_and_kinks,
     _quad,
@@ -242,6 +244,47 @@ class TestRunExperiment:
             box.f, env, points=box.breakpoints
         ) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("points", [(), (0.3,)], ids=["empty", "one-point"])
+    def test_quenched_integral_oracle(self, points):
+        kernel = bump_kernel(math.log(2.0))
+        config = PoissonConfig(points=np.array(points, dtype=float), lo=-50.0, hi=50.0)
+        got = quenched_integral(
+            lambda x: np.exp(-(x**2)), ShotNoiseEnv(kernel=kernel, config=config)
+        )
+        if not points:
+            # 1/Lambda is 1 everywhere
+            assert got == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+            return
+        y = points[0]
+
+        def h(x):
+            return math.exp(-(x**2) + float(kernel.phi(x - y)))
+
+        # the bump lifts 1/Lambda on [y - 1, y + 1] only; outside it is e^(-x^2)
+        inner = sum(
+            integrate.quad(h, a, b, epsabs=0.0, epsrel=1e-13)[0]
+            for a, b in ((y - 1.0, y), (y, y + 1.0))
+        )
+        tails = 0.5 * math.sqrt(math.pi) * (math.erfc(1.0 - y) + math.erfc(1.0 + y))
+        assert got == pytest.approx(inner + tails, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "theorem, supplied", [("T5", 1.25), ("T2-lattice", 2.5)], ids=["T5", "T2-lattice"]
+    )
+    def test_supplied_f_integral_is_taken(self, theorem, supplied):
+        report = run_experiment(
+            small_config(
+                theorem=theorem,
+                jump=SymmetricPareto(1.5) if theorem == "T5" else rademacher(),
+                kernel=bump_kernel(math.log(2.0)) if theorem == "T5" else None,
+                functional=FunctionalSpec(f=lambda x: np.exp(-(x**2)), f_integral=supplied),
+                ks_threshold=1.0,
+            )
+        )
+        assert report.f_integral == supplied
+        # mu = 1, so the constant is f_integral times the environment factor
+        assert report.limit_constant == pytest.approx(supplied * report.env_constant, rel=1e-15)
+
     @pytest.mark.parametrize("theorem", ["T2", "T3", "T5"])
     def test_unresolvable_functional_raises(self, theorem):
         # the spike of indicator_zero is narrower than any node spacing
@@ -298,6 +341,8 @@ class TestRunExperiment:
         shared = dict(
             theorem="T5",
             jump=SymmetricPareto(1.5),
+            # a supplied f_integral would replace the quenched constant
+            functional=FunctionalSpec(f=lambda x: np.exp(-(x**2)), f_integral=None),
             kernel=bump_kernel(math.log(2.0)),
             t=1000.0,
             replicates=120,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -393,24 +393,28 @@ def theorem5_constant(kernel: Kernel, alpha: float) -> float:
     return math.exp((1.0 / alpha - 1.0) * _exp_phi_integral(kernel, 1.0))
 
 
-@lru_cache(maxsize=8)
-def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+# The Cesaro check's panel rule: Gauss-Legendre of this order on panels at
+# most this wide, split at every kink of 1/Lambda.
+_GAUSS_ORDER = 4
+_PANEL_WIDTH = 1.0
+
+
+@lru_cache(maxsize=1)
+def _gauss_nodes() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 
 
 def _panel_prefix(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    breakpoints: np.ndarray,
-    order: int = 7,
-    chunk: int = 200_000,
+    integrand: Callable[[np.ndarray], np.ndarray], breakpoints: np.ndarray
 ) -> np.ndarray:
-    """Prefix integrals of ``integrand`` at each breakpoint via fixed-order
-    Gauss panels on every interval."""
-    nodes, weights = _gauss_nodes(order)
+    """Integrals of ``integrand`` from the first breakpoint to each one, by
+    ``_GAUSS_ORDER``-point Gauss panels on every interval; the intervals go
+    to the integrand in slices that keep the node arrays bounded."""
+    nodes, weights = _gauss_nodes()
     a = breakpoints[:-1]
     b = breakpoints[1:]
     per_interval = np.empty(len(a))
+    chunk = 200_000
     for start in range(0, len(a), chunk):
         sl = slice(start, min(start + chunk, len(a)))
         half = 0.5 * (b[sl] - a[sl])
@@ -450,38 +454,33 @@ def _integrand_and_kinks(env: EnvSpec, span_lo: float, span_hi: float):
     return env.lambda_inv_many, kinks[(kinks > span_lo) & (kinks < span_hi)]
 
 
-def cesaro_error(
-    env: EnvSpec,
-    t: float,
-    r: float,
-    grid_step: Optional[float] = None,
-    gauss_order: int = 7,
-    h_max: float = 0.5,
-) -> float:
-    """sup over |x| <= t^r of |(1/t) integral_x^(x+t) of 1/Lambda - mean|.
+def cesaro_error(env: EnvSpec, ts, r: float) -> list[float]:
+    """For each t in ``ts``, in order: the sup over windows x, t/8 apart
+    in |x| <= t^r, of |(1/t) integral_x^(x+t) of 1/Lambda - mean|.
 
-    The windowed integrals come from one prefix integral over the whole
-    span, with Gauss panels split at every configuration point (and at the
-    kernel support edges), so the estimate carries quadrature error far
+    Every window integral is a difference of one prefix integral over the
+    union of the spans, by ``_panel_prefix`` on panels at most
+    ``_PANEL_WIDTH`` wide, split at every window edge, configuration point
+    and kernel support edge, so the estimate carries quadrature error far
     below the statistical signal.
     """
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    if grid_step is None:
-        grid_step = t / 8.0
-    reach = t**r
-    xs = np.arange(-reach, reach + grid_step / 2.0, grid_step)
-    span_lo, span_hi = -reach, reach + t
+    ts = [float(t) for t in ts]
+    if not ts or not all(t > 0.0 for t in ts):
+        raise DomainError(f"every t must be positive, got {ts}")
+    starts = [np.arange(-(t**r), t**r + t / 16.0, t / 8.0) for t in ts]
+    ends = [xs + t for t, xs in zip(ts, starts)]
+    span_lo = min(xs[0] for xs in starts)
+    span_hi = max(xs[-1] for xs in ends)
     integrand, kinks = _integrand_and_kinks(env, span_lo, span_hi)
-    breakpoints = np.unique(
-        np.concatenate([[span_lo, span_hi], xs, xs + t, kinks])
-    )
-    breakpoints = _subdivide(breakpoints, h_max)
-    prefix = _panel_prefix(integrand, breakpoints, order=gauss_order)
-    left = prefix[np.searchsorted(breakpoints, xs)]
-    right = prefix[np.searchsorted(breakpoints, xs + t)]
-    averages = (right - left) / t
-    return float(np.max(np.abs(averages - env.lambda_bar_inv)))
+    breakpoints = np.unique(np.concatenate([kinks, *starts, *ends]))
+    breakpoints = _subdivide(breakpoints, _PANEL_WIDTH)
+    prefix = _panel_prefix(integrand, breakpoints)
+    out = []
+    for t, xs, xe in zip(ts, starts, ends):
+        window = prefix[np.searchsorted(breakpoints, xe)]
+        window -= prefix[np.searchsorted(breakpoints, xs)]
+        out.append(float(np.max(np.abs(window / t - env.lambda_bar_inv))))
+    return out
 
 
 def mc_mean_lambda_inv(
@@ -506,14 +505,12 @@ def mc_mean_lambda_inv(
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_configs))
 
 
-def sup_growth_check(
-    env: ShotNoiseEnv, n_list, grid_step: float = 0.25
-) -> list[tuple[int, float]]:
-    """Grid estimate of sup over |x| <= n of 1/Lambda for each n; used to
-    check the o(n^delta) growth of the potential's sup."""
+def sup_growth_check(env: ShotNoiseEnv, n_list) -> list[tuple[int, float]]:
+    """Estimate of sup over |x| <= n of 1/Lambda on a grid 0.25 apart, for
+    each n; used to check the o(n^delta) growth of the potential's sup."""
     out = []
     for n in sorted(n_list):
-        xs = np.arange(-float(n), float(n) + grid_step / 2.0, grid_step)
+        xs = np.arange(-float(n), float(n) + 0.125, 0.25)
         sup = 0.0
         chunk = 200_000
         for start in range(0, len(xs), chunk):

@@ -99,10 +99,11 @@ class ExperimentConfig:
         if self.replicates < 100 or self.limit_replicates < 100:
             problems.append("replicates and limit_replicates must be >= 100")
         t_floor = 1.0 if self.allow_short_horizon else 1e3
-        if self.t < t_floor:
-            problems.append(f"t must be at least {t_floor:g}, got {self.t}")
+        if not t_floor <= self.t < math.inf:
+            problems.append(f"t must be finite and at least {t_floor:g}, got {self.t}")
         u = np.asarray(self.u_grid, dtype=float)
-        if u.size == 0 or np.any(u <= 0.0) or np.any(u > 1.0) or np.any(np.diff(u) <= 0):
+        # written so that a nan entry fails
+        if u.size == 0 or not np.all((u > 0.0) & (u <= 1.0)) or np.any(np.diff(u) <= 0):
             problems.append("u_grid must be strictly increasing within (0, 1]")
         if not 0.0 < self.ks_threshold <= 1.0:
             problems.append("ks_threshold must be in (0, 1]")
@@ -112,8 +113,9 @@ class ExperimentConfig:
             seed = getattr(self, key)
             if seed is not None and seed < 0:
                 problems.append(f"{key} must be nonnegative, got {seed}")
-        if self.env_window_halfwidth is not None and not self.env_window_halfwidth > 0.0:
-            problems.append("env_window_halfwidth must be positive")
+        halfwidth = self.env_window_halfwidth
+        if halfwidth is not None and not 0.0 < halfwidth < math.inf:
+            problems.append("env_window_halfwidth must be positive and finite")
         if self.theorem == "T2":
             if not getattr(self.jump, "has_density", False):
                 problems.append(
@@ -131,10 +133,10 @@ class ExperimentConfig:
             if not getattr(self.jump, "has_density", False):
                 problems.append("environment theorems require absolutely "
                                 "continuous jumps")
-        if self.theorem == "T3" and self.env is None:
-            problems.append("T3 requires a deterministic environment")
-        if self.theorem == "T5" and self.kernel is None:
-            problems.append("T5 requires a shot-noise kernel")
+        if (self.theorem == "T3") != (self.env is not None):
+            problems.append("T3, and only T3, takes a deterministic environment")
+        if (self.theorem == "T5") != (self.kernel is not None):
+            problems.append("T5, and only T5, takes a shot-noise kernel")
         for pair in self.fdd_pairs:
             if len(pair) != 2 or pair[0] >= pair[1] or not all(p in self.u_grid for p in pair):
                 problems.append(f"fdd pair {pair!r} must be an increasing pair from u_grid")
@@ -373,13 +375,7 @@ def _limit_task(j: int):
     ctx = _WORKER_CTX["ctx"]
     rng = spawn_rng(ctx["master_seed"], "limit", j)
     return sample_limit_rv(
-        ctx["alpha"],
-        ctx["beta"],
-        ctx["mu"],
-        ctx["f_integral"],
-        ctx["u_grid"],
-        rng,
-        env_constant=ctx["env_constant"],
+        ctx["alpha"], ctx["beta"], ctx["limit_constant"], ctx["u_grid"], rng
     )
 
 
@@ -512,6 +508,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         f_integral = _integral_g_over_lambda(spec.f, path_env, spec.breakpoints)
     else:
         f_integral = _integral_f(spec.f, spec.breakpoints)
+    limit_constant = mu ** (1.0 / alpha) * f_integral * env_constant
 
     ctx = {
         "master_seed": cfg.master_seed,
@@ -523,9 +520,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         "path_env": path_env,
         "alpha": alpha,
         "beta": beta,
-        "mu": mu,
-        "f_integral": f_integral,
-        "env_constant": env_constant,
+        "limit_constant": limit_constant,
     }
     _WORKER_CTX["ctx"] = ctx
     try:
@@ -597,7 +592,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         mu=mu,
         f_integral=f_integral,
         env_constant=env_constant,
-        limit_constant=mu ** (1.0 / alpha) * f_integral * env_constant,
+        limit_constant=limit_constant,
         theorem5_factor=thm5_factor,
         config_echo=config_echo,
         rows=rows,

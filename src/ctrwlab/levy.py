@@ -180,25 +180,13 @@ def sample_local_time_exact(
 
 
 def sample_limit_rv(
-    alpha: float,
-    beta: float,
-    mu: float,
-    f_integral: float,
-    u_grid,
-    rng: RandomSource,
-    env_constant: float = 1.0,
+    alpha: float, beta: float, constant: float, u_grid, rng: RandomSource
 ) -> np.ndarray:
-    """One draw of the limit vector: constant * local time at each u.
+    """One draw of the limit vector: ``constant`` times the local time at
+    zero at each u, drawn exactly by ``sample_local_time_exact``.
 
-    The constant is mu^(1/alpha) * f_integral * env_constant, covering the
-    three limit theorems: env_constant = 1 for the plain walk, the
-    (mean of 1/Lambda)^(1/alpha - 1) factor for a deterministic
-    environment, or the averaged-potential factor in the quenched case
-    (where f_integral is the integral of g/Lambda over the fixed
-    configuration).  The local time is drawn exactly by
-    ``sample_local_time_exact``.
+    ``constant`` is the report's ``limit_constant``, mu^(1/alpha) times
+    f_integral times env_constant, which ``harness.run_experiment`` decides
+    for every theorem.
     """
-    if not mu > 0.0:
-        raise DomainError(f"mu must be positive, got {mu}")
-    constant = mu ** (1.0 / alpha) * f_integral * env_constant
     return constant * sample_local_time_exact(alpha, beta, u_grid, rng)

@@ -82,24 +82,16 @@ def sample_stable(params: StableParams, rng: RandomSource, size):
     if alpha == 2.0:
         x = 2.0 * np.sin(u) * np.sqrt(w)
     else:
-        b = -params.beta  # chf convention carries +i beta; the transform -i
-        tan_term = _tan_half_pi(alpha)
-        if b == 0.0:
-            x = (
-                np.sin(alpha * u)
-                / np.cos(u) ** (1.0 / alpha)
-                * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
-            )
-        else:
-            zeta = b * tan_term
-            theta0 = math.atan(zeta) / alpha
-            prefac = (1.0 + zeta * zeta) ** (1.0 / (2.0 * alpha))
-            x = (
-                prefac
-                * np.sin(alpha * (u + theta0))
-                / np.cos(u) ** (1.0 / alpha)
-                * (np.cos(u - alpha * (u + theta0)) / w) ** ((1.0 - alpha) / alpha)
-            )
+        # chf convention carries +i beta; the transform -i
+        zeta = -params.beta * _tan_half_pi(alpha)
+        theta0 = math.atan(zeta) / alpha
+        prefac = (1.0 + zeta * zeta) ** (1.0 / (2.0 * alpha))
+        x = (
+            prefac
+            * np.sin(alpha * (u + theta0))
+            / np.cos(u) ** (1.0 / alpha)
+            * (np.cos(u - alpha * (u + theta0)) / w) ** ((1.0 - alpha) / alpha)
+        )
     return params.location_a + params.scale_c ** (1.0 / alpha) * x
 
 

@@ -207,10 +207,7 @@ def test_07_cesaro_error_trend():
     for i in range(n_configs):
         cfg = sample_config((-160402.0, 160402.0), spawn_rng(SEED, "cesaro-trend", i))
         env = ShotNoiseEnv(kernel=kernel, config=cfg)
-        errs = [
-            cesaro_error(env, t, 2.0, gauss_order=4, h_max=1.0)
-            for t in (100.0, 200.0, 400.0)
-        ]
+        errs = cesaro_error(env, (100.0, 200.0, 400.0), 2.0)
         wins += errs[0] > errs[1] > errs[2]
     report(
         "7 Cesaro-average trend",

@@ -262,6 +262,34 @@ class TestCompare:
         result = runner.invoke(main, ["compare", "--config", str(cfg)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("u_grid = 0.5,1.0", "u_grid = 0.5,nan"),
+            ("t = 1000", "t = nan"),
+            ("t = 1000", "t = inf"),
+            ("ks_threshold = 0.2", "ks_threshold = 0.2\nenv_window_halfwidth = inf"),
+            ("kind = gauss_bump", "kind = gauss_bump\n[env]\nkind = periodic_inverse"),
+            ("kind = gauss_bump", "kind = gauss_bump\n[env]\nkind = shot_noise"),
+        ],
+        ids=["u-nan", "t-nan", "t-inf", "window-inf", "env-on-T2", "kernel-on-T2"],
+    )
+    def test_values_a_run_cannot_honour_exit_two(self, runner, tmp_path, old, new):
+        cfg = tmp_path / "unhonourable.cfg"
+        cfg.write_text(PASSING_CONFIG.replace(old, new))
+        result = runner.invoke(main, ["compare", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output
+
+    def test_benchmark_workloads_validate(self):
+        # the benchmark runs these configs; a change to keys, kinds or
+        # validation that breaks one must fail here too
+        paths = sorted((README.parent / "benchmarks" / "workloads").glob("*.cfg"))
+        assert paths
+        for path in paths:
+            cfg, _ = load_experiment_config(path)
+            cfg.validate()
+
     def test_shipped_configs_parse_to_acceptance_settings(self):
         # the full runs themselves are exercised by the acceptance suite
         root = Path(__file__).resolve().parent.parent / "configs"
@@ -306,7 +334,7 @@ class TestConfigParsing:
         cfg_path.write_text(block)
         cfg, outputs = load_experiment_config(cfg_path)
         cfg.validate()
-        assert cfg.theorem == "T2" and cfg.workers == 8
+        assert cfg.theorem == "T3" and cfg.workers == 8
         assert cfg.env is not None and cfg.env.lambda_bar_inv == 2.0
         assert outputs == {"json": "report.json", "csv": "report.csv"}
 

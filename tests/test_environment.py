@@ -379,22 +379,22 @@ class TestCesaroError:
         # deterministic flat profile; either way the deviation is exactly 0
         cfg = PoissonConfig(np.array([]), -200.0, 200.0)
         env = ShotNoiseEnv(kernel=zero_kernel(), config=cfg)
-        assert cesaro_error(env, 10.0, 1.0) == pytest.approx(0.0, abs=1e-14)
+        assert cesaro_error(env, [10.0], 1.0) == pytest.approx([0.0], abs=1e-14)
         flat = DeterministicEnv(
             lambda_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)),
             lambda_bar_inv=1.0,
         )
-        assert cesaro_error(flat, 10.0, 1.0) == pytest.approx(0.0, abs=1e-13)
+        assert cesaro_error(flat, [10.0], 1.0) == pytest.approx([0.0], abs=1e-13)
 
     def test_periodic_profile_full_periods(self):
         env = periodic_env(2.0, 1.0, 1.0)
-        assert cesaro_error(env, 5.0, 1.2) < 1e-6
+        assert cesaro_error(env, [5.0], 1.2)[0] < 1e-6
 
     def test_window_too_small(self):
         cfg = PoissonConfig(np.array([0.0]), -50.0, 50.0)
         env = ShotNoiseEnv(kernel=bump_kernel(), config=cfg)
         with pytest.raises(BoundaryError):
-            cesaro_error(env, 10.0, 2.0)
+            cesaro_error(env, [10.0], 2.0)
 
     def test_subdivide_matches_per_gap_linspace(self):
         rng = spawn_rng(SEED, "subdivide")
@@ -414,9 +414,22 @@ class TestCesaroError:
         # single-config smoke version of the Cesaro-convergence trend
         cfg = sample_config((-10102.0, 10102.0), spawn_rng(77, "ces", 1))
         env = ShotNoiseEnv(kernel=bump_kernel(0.3), config=cfg)
-        e20 = cesaro_error(env, 20.0, 2.0, gauss_order=4, h_max=1.0)
-        e100 = cesaro_error(env, 100.0, 2.0, gauss_order=4, h_max=1.0)
+        e20, e100 = cesaro_error(env, (20.0, 100.0), 2.0)
         assert e100 < e20
+
+    def test_ladder_reads_each_rung_in_the_given_order(self):
+        cfg = sample_config((-10102.0, 10102.0), spawn_rng(77, "ces", 1))
+        env = ShotNoiseEnv(kernel=bump_kernel(0.3), config=cfg)
+        up = cesaro_error(env, (20.0, 100.0), 2.0)
+        # the same breakpoints either way round
+        assert cesaro_error(env, (100.0, 20.0), 2.0) == up[::-1]
+        # alone, a rung loses only the other rung's split points
+        assert cesaro_error(env, [20.0], 2.0)[0] == pytest.approx(up[0], rel=1e-6)
+
+    @pytest.mark.parametrize("ts", [[], [10.0, 0.0], [-1.0]])
+    def test_empty_or_nonpositive_ladder_rejected(self, ts):
+        with pytest.raises(DomainError):
+            cesaro_error(periodic_env(), ts, 1.0)
 
 
 class TestSupGrowth:

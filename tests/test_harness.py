@@ -61,6 +61,16 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def quenched_constant(cfg, config_seed):
+    """integral of g/Lambda over the configuration a T5 run of ``cfg``
+    samples from ``config_seed``, in its default window."""
+    halfwidth = suggest_window_halfwidth(
+        cfg.jump, cfg.wait.mu, cfg.t, cfg.replicates, cfg.kernel.cutoff_r
+    )
+    config = sample_config((-halfwidth, halfwidth), spawn_rng(config_seed, "environment"))
+    return quenched_integral(cfg.functional.f, ShotNoiseEnv(kernel=cfg.kernel, config=config))
+
+
 class TestKsTwoSample:
     def test_identical_samples(self):
         assert ks_two_sample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
@@ -162,6 +172,26 @@ class TestValidation:
     def test_window_must_be_positive(self, halfwidth):
         with pytest.raises(ExperimentConfigError, match="env_window_halfwidth"):
             small_config(env_window_halfwidth=halfwidth).validate()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"u_grid": (0.5, math.nan)}, "u_grid"),
+            ({"t": math.nan}, "t must be finite"),
+            ({"t": math.inf}, "t must be finite"),
+            ({"env_window_halfwidth": math.inf}, "env_window_halfwidth"),
+            ({"env": periodic_env()}, "only T3"),
+            ({"kernel": bump_kernel()}, "only T5"),
+            ({"theorem": "T5", "kernel": bump_kernel(), "env": periodic_env()}, "only T3"),
+            ({"theorem": "T3", "env": periodic_env(), "kernel": bump_kernel()}, "only T5"),
+        ],
+        ids=["u-nan", "t-nan", "t-inf", "window-inf", "env-on-T2", "kernel-on-T2",
+             "env-on-T5", "kernel-on-T3"],
+    )
+    def test_values_a_run_cannot_honour_rejected(self, overrides, message):
+        cfg = small_config(jump=SymmetricPareto(1.5), **overrides)
+        with pytest.raises(ExperimentConfigError, match=message):
+            cfg.validate()
 
 
 class TestRunExperiment:
@@ -302,6 +332,7 @@ class TestRunExperiment:
         cfg = small_config(
             theorem="T5",
             jump=SymmetricPareto(1.5),
+            functional=FunctionalSpec(f=lambda x: np.exp(-(x**2))),
             kernel=bump_kernel(math.log(2.0)),
             t=1000.0,
             replicates=120,
@@ -312,6 +343,8 @@ class TestRunExperiment:
         assert report.theorem5_factor is not None
         assert report.env_constant == report.theorem5_factor
         assert report.config_echo["env_window_points"] > 0
+        assert report.f_integral == quenched_constant(cfg, SEED)
+        assert report.f_integral != pytest.approx(math.sqrt(math.pi), rel=1e-3)
 
     def test_t3_trend_in_t(self):
         # longer horizons do not worsen the fit beyond MC noise
@@ -366,11 +399,16 @@ class TestRunExperiment:
         cfg = small_config(
             theorem="T5",
             jump=SymmetricPareto(1.5),
+            functional=FunctionalSpec(f=lambda x: np.exp(-(x**2))),
             kernel=bump_kernel(math.log(2.0)),
             ks_threshold=1.0,
             env_config_seed=991,
         )
-        echo = run_experiment(cfg).config_echo
+        report = run_experiment(cfg)
+        # the quenched constant is over configuration 991, not master_seed's
+        assert report.f_integral == quenched_constant(cfg, 991)
+        assert report.f_integral != quenched_constant(cfg, cfg.master_seed)
+        echo = report.config_echo
         assert echo["env_config_seed"] == 991
         assert "g_support_halfwidth" not in echo
         assert run_experiment(small_config()).config_echo["env_config_seed"] is None
@@ -390,9 +428,7 @@ class TestFddJointCheck:
 
         draws = np.vstack(
             [
-                sample_limit_rv(
-                    1.5, 0.0, 1.0, 1.0, [0.5, 1.0], spawn_rng(SEED, "inc", j)
-                )
+                sample_limit_rv(1.5, 0.0, 1.0, [0.5, 1.0], spawn_rng(SEED, "inc", j))
                 for j in range(200)
             ]
         )

@@ -245,27 +245,18 @@ class TestExactLocalTime:
 
 class TestSampleLimitRv:
     def test_zero_integral_gives_zeros(self):
-        out = sample_limit_rv(1.5, 0.0, 1.0, 0.0, [0.5, 1.0], spawn_rng(SEED, "zero"))
+        out = sample_limit_rv(1.5, 0.0, 0.0, [0.5, 1.0], spawn_rng(SEED, "zero"))
         assert np.array_equal(out, np.zeros(2))
 
-    def test_env_constant_unity_matches_plain(self):
-        a = sample_limit_rv(1.5, 0.0, 1.0, 2.0, [1.0], spawn_rng(SEED, "unit"))
-        b = sample_limit_rv(
-            1.5, 0.0, 1.0, 2.0, [1.0], spawn_rng(SEED, "unit"), env_constant=1.0
-        )
-        assert np.array_equal(a, b)
-
     def test_constant_scales_linearly(self):
-        a = sample_limit_rv(1.5, 0.0, 1.0, 1.0, [1.0], spawn_rng(SEED, "lin"))
-        b = sample_limit_rv(
-            1.5, 0.0, 1.0, 1.0, [1.0], spawn_rng(SEED, "lin"), env_constant=3.0
-        )
+        a = sample_limit_rv(1.5, 0.0, 1.0, [1.0], spawn_rng(SEED, "lin"))
+        b = sample_limit_rv(1.5, 0.0, 3.0, [1.0], spawn_rng(SEED, "lin"))
         assert b[0] == pytest.approx(3.0 * a[0], rel=1e-12)
 
     def test_is_constant_times_exact_local_time(self):
-        out = sample_limit_rv(1.5, 0.5, 2.0, 3.0, [0.5, 1.0], spawn_rng(SEED, "c"))
+        out = sample_limit_rv(1.5, 0.5, 2.5, [0.5, 1.0], spawn_rng(SEED, "c"))
         local = sample_local_time_exact(1.5, 0.5, [0.5, 1.0], spawn_rng(SEED, "c"))
-        assert np.allclose(out, 2.0 ** (1.0 / 1.5) * 3.0 * local, rtol=1e-14)
+        assert np.allclose(out, 2.5 * local, rtol=1e-14)
 
     def test_default_eps_uses_increment_scale(self):
         assert default_eps(2.0, 10**5, 1.0) == pytest.approx(

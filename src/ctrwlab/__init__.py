@@ -9,12 +9,10 @@ from .environment import (
     ShotNoiseEnv,
     bump_kernel,
     cesaro_error,
-    lambda_inv,
     load_config,
     mean_lambda_inv_analytic,
     mc_mean_lambda_inv,
     periodic_env,
-    potential,
     power_kernel,
     sample_config,
     save_config,

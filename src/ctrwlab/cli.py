@@ -19,7 +19,6 @@ import numpy as np
 from .environment import (
     ShotNoiseEnv,
     mean_lambda_inv_analytic,
-    periodic_env,
     sample_config,
     sup_growth_check,
 )
@@ -124,7 +123,8 @@ def _build_from_flags(section, kind, flags):
 @_kind_option("--wait-xmin", "wait", "x_min")
 @_kind_option("--wait-shape", "wait", "shape")
 @_kind_option("--wait-scale", "wait", "scale")
-@click.option("--env", "env_kind", type=click.Choice(("none", "periodic")), default="none", show_default=True)
+@click.option("--env", "env_kind", type=click.Choice(tuple(KINDS["env"])),
+              default="none", show_default=True)
 @click.option("--t", type=float, required=True)
 @click.option("--paths", type=int, default=1, show_default=True)
 @_seed_option
@@ -140,7 +140,7 @@ def cmd_simulate(jump_kind, wait_kind, env_kind, t, paths, seed, out, dump_path,
         raise click.UsageError("--paths must be at least 1")
     jump = _build_from_flags("jump", jump_kind, law_flags)
     wait = _build_from_flags("wait", wait_kind, law_flags)
-    env = periodic_env() if env_kind == "periodic" else None
+    env = _build_from_flags("env", env_kind, law_flags)
     with _output(out) as fh:
         fh.write("path,n_jumps,final_position,mean_hold\n")
         for k in range(paths):

@@ -2,12 +2,15 @@
 shot-noise potentials, with their analytic moments and the empirical
 checks backing the sub-polynomial-growth and Cesaro-average assumptions.
 
-A shot-noise environment is ``Lambda(x) = exp(-E(x))`` with
-``E(x) = sum over configuration points y of phi(x - y)`` for a nonnegative
-kernel ``phi`` bounded by ``C / (1 + |x|^(1+beta))``.  Evaluation truncates
-the sum to ``|x - y| <= cutoff_r``; the expected mass dropped is at most
+An environment answers 1/Lambda (``lambda_inv_many``), the only form the
+walk, the limit constants and the Cesaro check read.  A shot-noise
+environment is ``Lambda(x) = exp(-E(x))`` with ``E(x) = sum over
+configuration points y of phi(x - y)`` for a nonnegative kernel ``phi``
+bounded by ``C / (1 + |x|^(1+beta))``.  Evaluation truncates the sum to
+``|x - y| <= cutoff_r``; the expected mass dropped is at most
 ``2 C cutoff_r^(-beta) / beta`` per unit intensity, and the default cutoffs
-keep that below 1e-6.
+keep that below 1e-6.  Every read of the configuration goes through
+``ShotNoiseEnv.points_near``, which checks the window.
 """
 
 from __future__ import annotations
@@ -159,15 +162,15 @@ def load_config(source) -> PoissonConfig:
 
 @dataclass(frozen=True)
 class DeterministicEnv:
-    """A fixed intensity profile Lambda(x) with its Cesaro average of
-    1/Lambda supplied analytically.
+    """A fixed profile of 1/Lambda(x) with its Cesaro average supplied
+    analytically.
 
     ``lambda_bar_inv`` enters the T3 limit constant, and it also sizes the
     draw blocks of walks in this environment (``simulate_skeleton``), so a
     wrong value there costs time, not correctness.
     """
 
-    lambda_fn: Callable[[np.ndarray], np.ndarray]
+    lambda_inv_fn: Callable[[np.ndarray], np.ndarray]
     lambda_bar_inv: float
     name: str = "deterministic"
 
@@ -175,14 +178,11 @@ class DeterministicEnv:
         if not self.lambda_bar_inv > 0.0:
             raise DomainError("lambda_bar_inv must be positive")
 
-    def lambda_many(self, x: np.ndarray) -> np.ndarray:
-        vals = np.asarray(self.lambda_fn(np.asarray(x, dtype=float)), dtype=float)
-        if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
-            raise DomainError("Lambda must be positive and finite everywhere")
-        return vals
-
     def lambda_inv_many(self, x: np.ndarray) -> np.ndarray:
-        return 1.0 / self.lambda_many(x)
+        vals = np.asarray(self.lambda_inv_fn(np.asarray(x, dtype=float)), dtype=float)
+        if not np.all((vals > 0.0) & np.isfinite(vals)):
+            raise DomainError("1/Lambda must be positive and finite everywhere")
+        return vals
 
 
 def periodic_env(
@@ -192,14 +192,19 @@ def periodic_env(
     if not mean_level > abs(amplitude):
         raise DomainError("need mean_level > |amplitude| so Lambda stays positive")
 
-    def lambda_fn(x):
-        return 1.0 / (mean_level + amplitude * np.sin(2.0 * math.pi * frequency * x))
+    def lambda_inv_fn(x):
+        return mean_level + amplitude * np.sin(2.0 * math.pi * frequency * x)
 
     return DeterministicEnv(
-        lambda_fn=lambda_fn,
+        lambda_inv_fn=lambda_inv_fn,
         lambda_bar_inv=mean_level,
         name=f"periodic(mean={mean_level},amp={amplitude},freq={frequency})",
     )
+
+
+# potential_many hands the kernel at most about this many (site, point)
+# pairs at once, keeping its scratch arrays bounded.
+_WORK_CAP = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -213,16 +218,24 @@ class ShotNoiseEnv:
     kernel: Kernel
     config: PoissonConfig
 
-    def _check_bounds(self, x: np.ndarray) -> None:
-        r = self.kernel.cutoff_r
-        xmin, xmax = float(np.min(x)), float(np.max(x))
-        if xmin < self.config.lo + r or xmax > self.config.hi - r:
-            raise BoundaryError(
-                f"query range [{xmin:.6g}, {xmax:.6g}] is within cutoff "
-                f"{r:.6g} of the window [{self.config.lo:.6g}, {self.config.hi:.6g}]"
-            )
+    def points_near(self, lo: float, hi: float) -> np.ndarray:
+        """The sorted configuration points within the cutoff of [lo, hi].
 
-    def potential_many(self, x: np.ndarray, _work_cap: int = 4_000_000) -> np.ndarray:
+        A range within the cutoff of the window's edge raises BoundaryError:
+        points beyond the window that would reach it were never sampled."""
+        r = self.kernel.cutoff_r
+        cfg = self.config
+        # written so that a nan end fails
+        if not (cfg.lo + r <= lo and hi <= cfg.hi - r):
+            raise BoundaryError(
+                f"query range [{lo:.6g}, {hi:.6g}] is within cutoff "
+                f"{r:.6g} of the window [{cfg.lo:.6g}, {cfg.hi:.6g}]"
+            )
+        pts = cfg.points
+        first = np.searchsorted(pts, lo - r, side="left")
+        return pts[first : np.searchsorted(pts, hi + r, side="right")]
+
+    def potential_many(self, x: np.ndarray) -> np.ndarray:
         """E(x) truncated to |x - y| <= cutoff_r, vectorized over x.
 
         Each site's value is its own sum over the configuration points
@@ -234,14 +247,11 @@ class ShotNoiseEnv:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.size == 0:
             return np.zeros(0)
-        self._check_bounds(x)
-        pts = self.config.points
         r = self.kernel.cutoff_r
         n = x.size
         order = np.argsort(x, axis=None)
         xs = x.ravel()[order]
-        first = np.searchsorted(pts, xs[0] - r, side="left")
-        near = pts[first : np.searchsorted(pts, xs[-1] + r, side="right")]
+        near = self.points_near(xs[0], xs[-1])
         # near[lo[i]:hi[i]] are the points within r of xs[i]: a point lies
         # below the i-th window once i reaches its rank among the window
         # edges, so counting ranks gives every bound in one pass
@@ -254,8 +264,8 @@ class ShotNoiseEnv:
         counts = hi - lo
         sums = np.zeros(n)
         # process in slices keeping the scratch arrays bounded
-        boundaries = np.searchsorted(np.cumsum(counts), np.arange(0, counts.sum() + _work_cap, _work_cap), side="left")
-        boundaries = np.unique(np.append(boundaries, n))
+        edges = np.arange(0, counts.sum() + _WORK_CAP, _WORK_CAP)
+        boundaries = np.unique(np.append(np.searchsorted(np.cumsum(counts), edges), n))
         for lo_b, hi_b in zip(boundaries[:-1], boundaries[1:]):
             sl = slice(int(lo_b), int(hi_b))
             c = counts[sl]
@@ -277,9 +287,6 @@ class ShotNoiseEnv:
     def lambda_inv_many(self, x: np.ndarray) -> np.ndarray:
         return np.exp(self.potential_many(x))
 
-    def lambda_many(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(-self.potential_many(x))
-
     @cached_property
     def lambda_bar_inv(self) -> float:
         """E[1/Lambda] over configurations, computed once per environment."""
@@ -287,16 +294,6 @@ class ShotNoiseEnv:
 
 
 EnvSpec = Union[DeterministicEnv, ShotNoiseEnv]
-
-
-def potential(env: ShotNoiseEnv, x: float) -> float:
-    """Truncated shot-noise potential at a single location."""
-    return float(env.potential_many(np.array([x]))[0])
-
-
-def lambda_inv(env: EnvSpec, x: float) -> float:
-    """1/Lambda(x) for either environment kind."""
-    return float(env.lambda_inv_many(np.array([x]))[0])
 
 
 # Double-exponential quadrature (Takahasi & Mori, Publ. RIMS 9, 1974): the
@@ -440,18 +437,16 @@ def _subdivide(breakpoints: np.ndarray, h_max: float) -> np.ndarray:
     return np.unique(np.concatenate([breakpoints, interior]))
 
 
-def _integrand_and_kinks(env: EnvSpec, span_lo: float, span_hi: float):
-    """1/Lambda and its kinks strictly inside (span_lo, span_hi): the
-    configuration points and the kernel support edges around them."""
+def _kinks(env: EnvSpec, lo: float, hi: float) -> np.ndarray:
+    """The kinks of 1/Lambda strictly inside (lo, hi): a shot-noise
+    environment's configuration points and the kernel support edges around
+    them; a deterministic profile has none."""
     if not isinstance(env, ShotNoiseEnv):
-        return env.lambda_inv_many, np.empty(0)
-    env._check_bounds(np.array([span_lo, span_hi]))
-    # only points within r of the span put a kink inside it
+        return np.empty(0)
     r = env.kernel.cutoff_r
-    pts = env.config.points
-    pts = pts[np.searchsorted(pts, span_lo - r) : np.searchsorted(pts, span_hi + r, side="right")]
+    pts = env.points_near(lo, hi)
     kinks = np.concatenate([pts, pts - r, pts + r])
-    return env.lambda_inv_many, kinks[(kinks > span_lo) & (kinks < span_hi)]
+    return kinks[(kinks > lo) & (kinks < hi)]
 
 
 def cesaro_error(env: EnvSpec, ts, r: float) -> list[float]:
@@ -471,10 +466,10 @@ def cesaro_error(env: EnvSpec, ts, r: float) -> list[float]:
     ends = [xs + t for t, xs in zip(ts, starts)]
     span_lo = min(xs[0] for xs in starts)
     span_hi = max(xs[-1] for xs in ends)
-    integrand, kinks = _integrand_and_kinks(env, span_lo, span_hi)
+    kinks = _kinks(env, span_lo, span_hi)
     breakpoints = np.unique(np.concatenate([kinks, *starts, *ends]))
     breakpoints = _subdivide(breakpoints, _PANEL_WIDTH)
-    prefix = _panel_prefix(integrand, breakpoints)
+    prefix = _panel_prefix(env.lambda_inv_many, breakpoints)
     out = []
     for t, xs, xe in zip(ts, starts, ends):
         window = prefix[np.searchsorted(breakpoints, xe)]

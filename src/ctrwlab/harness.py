@@ -24,9 +24,8 @@ from .distances import ks_critical_value, ks_two_sample, wasserstein1
 from .environment import (
     DeterministicEnv,
     Kernel,
-    PoissonConfig,
     ShotNoiseEnv,
-    _integrand_and_kinks,
+    _kinks,
     _quad,
     _quad_line,
     bump_kernel,
@@ -116,6 +115,10 @@ class ExperimentConfig:
         halfwidth = self.env_window_halfwidth
         if halfwidth is not None and not 0.0 < halfwidth < math.inf:
             problems.append("env_window_halfwidth must be positive and finite")
+        if self.theorem != "T5":
+            for key in ("env_window_halfwidth", "env_config_seed"):
+                if getattr(self, key) is not None:
+                    problems.append(f"{key} is a T5 key: {self.theorem} samples no configuration")
         if self.theorem == "T2":
             if not getattr(self.jump, "has_density", False):
                 problems.append(
@@ -274,26 +277,30 @@ def describe(obj) -> dict:
     return {"kind": type(obj).__name__}
 
 
+# The T5 window is sized so that some path of the run leaves it with about
+# this probability.
+_ESCAPE_PROBABILITY = 0.01
+
+
 def suggest_window_halfwidth(
-    jump: JumpLaw,
-    wait_mu: float,
-    t: float,
-    n_paths: int,
-    cutoff_r: float,
-    escape_probability: float = 0.01,
+    jump: JumpLaw, wait_mu: float, t: float, n_paths: int, cutoff_r: float
 ) -> float:
     """Window half-width so that, with probability about
-    1 - escape_probability, no path in the run leaves the evaluable region.
+    1 - ``_ESCAPE_PROBABILITY``, no path in the run leaves the evaluable
+    region.
 
     Uses the stable tail of the path supremum: the walk makes at most about
     t/mu jumps (delays only slow it down), its displacement scale is
     sigma (t/mu)^(1/alpha), and the standardized supremum tail is bounded
-    by a constant multiple of the marginal stable tail.
+    by a constant multiple of the marginal stable tail.  The width grows
+    with t and with ``n_paths``, and the configuration sampled in it has a
+    new Poisson count and new points, so one ``env_config_seed`` gives
+    different configurations at different replicate counts.
     """
     alpha = jump.alpha_attr
     n_max = t / wait_mu + 6.0 * math.sqrt(t / wait_mu) + 100.0
     scale = jump.sigma_attr * n_max ** (1.0 / alpha)
-    per_path = max(escape_probability / max(n_paths, 1), 1e-12)
+    per_path = max(_ESCAPE_PROBABILITY / max(n_paths, 1), 1e-12)
     if alpha >= 2.0:
         # standard law at alpha=2 is N(0, 2); crude sup bound via 4 tails
         z = math.sqrt(2.0) * math.sqrt(2.0 * math.log(4.0 / per_path))
@@ -330,18 +337,17 @@ def quenched_integral(g, env: ShotNoiseEnv, points=()) -> float:
     hi = float(np.max(np.abs(points), initial=1.0))
     while tail(-math.inf, -hi) + tail(hi, math.inf) > tol:
         hi *= 2.0
-        env._check_bounds(np.array([-hi, hi]))
+        env.points_near(-hi, hi)
     return _integral_g_over_lambda(g, env, points, -hi, hi)
 
 
 def _integral_g_over_lambda(g, env, points, lo=-math.inf, hi=math.inf) -> float:
     """integral of g / Lambda over [lo, hi] by the checked rule, split at
     ``points`` and at the kinks of 1/Lambda (a shot-noise environment's)."""
-    lambda_inv, kinks = _integrand_and_kinks(env, lo, hi)
     return _quad_line(
-        lambda x: np.asarray(g(x), dtype=float) * lambda_inv(x),
+        lambda x: np.asarray(g(x), dtype=float) * env.lambda_inv_many(x),
         "g/Lambda",
-        (*points, *kinks),
+        (*points, *_kinks(env, lo, hi)),
         lo,
         hi,
     )
@@ -471,7 +477,6 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     u_grid = tuple(float(u) for u in cfg.u_grid)
 
     path_env = None
-    gamma_config: Optional[PoissonConfig] = None
     if cfg.theorem == "T3":
         path_env = cfg.env
     elif cfg.theorem == "T5":
@@ -488,8 +493,9 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
             cfg.env_config_seed if cfg.env_config_seed is not None else cfg.master_seed
         )
         env_rng = spawn_rng(config_seed, "environment")
-        gamma_config = sample_config((-halfwidth, halfwidth), env_rng)
-        path_env = ShotNoiseEnv(kernel=cfg.kernel, config=gamma_config)
+        path_env = ShotNoiseEnv(
+            kernel=cfg.kernel, config=sample_config((-halfwidth, halfwidth), env_rng)
+        )
     # T3 and T5 share the constant mean(1/Lambda)^(1/alpha - 1); for T5 the
     # mean is over configurations, exp(integral of (e^phi - 1)).
     env_constant = 1.0
@@ -575,7 +581,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         "master_seed": cfg.master_seed,
         "ks_threshold": cfg.ks_threshold,
         "limit_method": "exact-regenerative",
-        "env_window_points": None if gamma_config is None else gamma_config.count,
+        "env_window_points": path_env.config.count if cfg.theorem == "T5" else None,
         "f_integral_supplied": cfg.functional.f_integral,
         "env_config_seed": cfg.env_config_seed,
     }

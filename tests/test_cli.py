@@ -7,16 +7,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import ctrwlab
 from ctrwlab import cli
 from ctrwlab.cli import load_experiment_config, main
+from ctrwlab.environment import periodic_env
 from ctrwlab.errors import ExperimentConfigError
 from ctrwlab.harness import KINDS, ExperimentConfig, build, describe
 from ctrwlab.levy import sample_local_time_exact
 from ctrwlab.rng import spawn_rng
+from ctrwlab.stable import SymmetricPareto
+from ctrwlab.walk import Exponential, simulate_skeleton
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -102,6 +106,25 @@ class TestSimulate:
 
     def test_bad_horizon(self, runner):
         result = runner.invoke(main, ["simulate", "--t", "-5"])
+        assert result.exit_code == 2
+
+    def test_env_kind_builds_the_table_environment(self, runner):
+        # the same walks as a periodic_env() built directly
+        result = runner.invoke(
+            main, ["simulate", "--jump", "symmetric_pareto", "--t", "200", "--paths", "3",
+                   "--seed", "4", "--env", "periodic_inverse"],
+        )
+        assert result.exit_code == 0, result.output
+        jump, wait, env = SymmetricPareto(1.5), Exponential(1.0), periodic_env()
+        rows = ["path,n_jumps,final_position,mean_hold"]
+        for k in range(3):
+            path = simulate_skeleton(jump, wait, 200.0, spawn_rng(4, "cli-simulate", k), env=env)
+            rows.append(f"{k},{path.n_jumps},{path.positions[-1]:.17g},"
+                        f"{float(np.mean(path.holds)):.17g}")
+        assert result.output == "\n".join(rows) + "\n"
+
+    def test_unknown_env_kind_exit_two(self, runner):
+        result = runner.invoke(main, ["simulate", "--t", "20", "--env", "periodic"])
         assert result.exit_code == 2
 
 
@@ -271,8 +294,11 @@ class TestCompare:
             ("ks_threshold = 0.2", "ks_threshold = 0.2\nenv_window_halfwidth = inf"),
             ("kind = gauss_bump", "kind = gauss_bump\n[env]\nkind = periodic_inverse"),
             ("kind = gauss_bump", "kind = gauss_bump\n[env]\nkind = shot_noise"),
+            ("ks_threshold = 0.2", "ks_threshold = 0.2\nenv_window_halfwidth = 5e4"),
+            ("ks_threshold = 0.2", "ks_threshold = 0.2\nenv_config_seed = 3"),
         ],
-        ids=["u-nan", "t-nan", "t-inf", "window-inf", "env-on-T2", "kernel-on-T2"],
+        ids=["u-nan", "t-nan", "t-inf", "window-inf", "env-on-T2", "kernel-on-T2",
+             "window-on-T2", "config-seed-on-T2"],
     )
     def test_values_a_run_cannot_honour_exit_two(self, runner, tmp_path, old, new):
         cfg = tmp_path / "unhonourable.cfg"
@@ -280,6 +306,20 @@ class TestCompare:
         result = runner.invoke(main, ["compare", "--config", str(cfg)])
         assert result.exit_code == 2, result.output
         assert "config error" in result.output
+
+    def test_t5_window_too_narrow_exit_one(self, runner, tmp_path):
+        # a path that leaves the configuration window fails the run, and
+        # the error names the window
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text(
+            "[experiment]\ntheorem = T5\nt = 1000\nreplicates = 100\n"
+            "limit_replicates = 100\nenv_window_halfwidth = 20\n\n"
+            "[jump]\nkind = symmetric_pareto\nalpha = 1.5\n\n"
+            "[env]\nkind = shot_noise\nkernel = bump\n"
+        )
+        result = runner.invoke(main, ["compare", "--config", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert "window" in result.stderr.strip().splitlines()[-1]
 
     def test_benchmark_workloads_validate(self):
         # the benchmark runs these configs; a change to keys, kinds or

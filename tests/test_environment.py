@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ctrwlab import environment
 from ctrwlab.environment import (
     DeterministicEnv,
     Kernel,
@@ -14,12 +15,10 @@ from ctrwlab.environment import (
     _subdivide,
     bump_kernel,
     cesaro_error,
-    lambda_inv,
     load_config,
     mc_mean_lambda_inv,
     mean_lambda_inv_analytic,
     periodic_env,
-    potential,
     power_kernel,
     sample_config,
     save_config,
@@ -155,6 +154,14 @@ class TestPoissonConfig:
             load_config(dest)
 
 
+def potential(env: ShotNoiseEnv, x: float) -> float:
+    return float(env.potential_many(np.array([x]))[0])
+
+
+def lambda_inv(env, x: float) -> float:
+    return float(env.lambda_inv_many(np.array([x]))[0])
+
+
 class TestPotential:
     def test_empty_config(self):
         env = ShotNoiseEnv(
@@ -190,11 +197,20 @@ class TestPotential:
         with pytest.raises(BoundaryError):
             potential(env, 1.5)
 
-    def test_reciprocal_identity(self):
-        cfg = sample_config((-30.0, 30.0), spawn_rng(SEED, "recip"))
-        env = ShotNoiseEnv(kernel=bump_kernel(), config=cfg)
-        xs = np.linspace(-20.0, 20.0, 100)
-        assert np.max(np.abs(env.lambda_many(xs) * env.lambda_inv_many(xs) - 1.0)) < 1e-12
+    def test_out_of_window_site_inside_an_unsorted_batch(self):
+        env = ShotNoiseEnv(
+            kernel=bump_kernel(), config=PoissonConfig(np.array([0.0]), -10.0, 10.0)
+        )
+        with pytest.raises(BoundaryError, match="window"):
+            env.potential_many(np.array([3.0, -2.0, 9.5, 0.5, -4.0]))
+
+    def test_points_near_slices_within_the_cutoff(self):
+        pts = np.array([-5.0, -2.5, -1.0, 0.0, 2.0, 3.5, 6.0])
+        env = ShotNoiseEnv(kernel=bump_kernel(), config=PoissonConfig(pts, -10.0, 10.0))
+        np.testing.assert_array_equal(env.points_near(-1.5, 2.5), [-2.5, -1.0, 0.0, 2.0, 3.5])
+        for lo, hi in [(-9.5, 0.0), (0.0, 9.5), (math.nan, 0.0)]:
+            with pytest.raises(BoundaryError, match="window"):
+                env.points_near(lo, hi)
 
     def test_inverse_intensity_at_least_one(self):
         # phi >= 0 forces 1/Lambda = exp(potential) >= 1 everywhere
@@ -227,9 +243,11 @@ class TestPotential:
         env, xs = batch_env
         assert np.array_equal(env.potential_many(xs[::-1])[::-1], env.potential_many(xs))
 
-    def test_work_cap_same_bits(self, batch_env):
+    def test_work_cap_same_bits(self, batch_env, monkeypatch):
         env, xs = batch_env
-        assert np.array_equal(env.potential_many(xs, _work_cap=7), env.potential_many(xs))
+        whole = env.potential_many(xs)
+        monkeypatch.setattr(environment, "_WORK_CAP", 7)
+        assert np.array_equal(env.potential_many(xs), whole)
 
     def test_fsum_oracle(self, batch_env):
         env, xs = batch_env
@@ -381,7 +399,7 @@ class TestCesaroError:
         env = ShotNoiseEnv(kernel=zero_kernel(), config=cfg)
         assert cesaro_error(env, [10.0], 1.0) == pytest.approx([0.0], abs=1e-14)
         flat = DeterministicEnv(
-            lambda_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+            lambda_inv_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)),
             lambda_bar_inv=1.0,
         )
         assert cesaro_error(flat, [10.0], 1.0) == pytest.approx([0.0], abs=1e-13)
@@ -454,10 +472,25 @@ class TestSupGrowth:
 class TestDeterministicEnv:
     def test_positive_lambda_enforced(self):
         env = DeterministicEnv(
-            lambda_fn=lambda x: np.asarray(x, dtype=float), lambda_bar_inv=1.0
+            lambda_inv_fn=lambda x: np.asarray(x, dtype=float), lambda_bar_inv=1.0
         )
         with pytest.raises(DomainError):
             env.lambda_inv_many(np.array([-1.0]))
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_nonpositive_or_nonfinite_inverse_intensity_rejected(self, bad):
+        env = DeterministicEnv(
+            lambda_inv_fn=lambda x: np.where(np.asarray(x) > 0.0, bad, 1.0),
+            lambda_bar_inv=1.0,
+        )
+        assert env.lambda_inv_many(np.array([-1.0, -0.5])).tolist() == [1.0, 1.0]
+        with pytest.raises(DomainError):
+            env.lambda_inv_many(np.array([-1.0, 0.5, -0.5]))
+
+    def test_periodic_answers_its_definition(self):
+        xs = spawn_rng(SEED, "periodic-sites").uniform(-1e3, 1e3, 10_000)
+        expected = 2.0 + 0.5 * np.sin(2.0 * math.pi * 0.3 * xs)
+        assert np.array_equal(periodic_env(2.0, 0.5, 0.3).lambda_inv_many(xs), expected)
 
     def test_periodic_needs_positive_floor(self):
         with pytest.raises(DomainError):

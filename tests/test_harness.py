@@ -12,7 +12,7 @@ from ctrwlab.distances import ks_critical_value, ks_two_sample, wasserstein1
 from ctrwlab.environment import (
     PoissonConfig,
     ShotNoiseEnv,
-    _integrand_and_kinks,
+    _kinks,
     _quad,
     bump_kernel,
     periodic_env,
@@ -59,6 +59,12 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def t5_config(**overrides):
+    return small_config(
+        theorem="T5", jump=SymmetricPareto(1.5), kernel=bump_kernel(), **overrides
+    )
 
 
 def quenched_constant(cfg, config_seed):
@@ -164,14 +170,34 @@ class TestValidation:
 
     @pytest.mark.parametrize("key", ["master_seed", "env_config_seed"])
     def test_negative_seed_rejected(self, key):
+        # on T5, where env_config_seed acts
         with pytest.raises(ExperimentConfigError, match=f"{key} must be nonnegative"):
-            small_config(**{key: -1}).validate()
-        small_config(**{key: 0}).validate()
+            t5_config(**{key: -1}).validate()
+        t5_config(**{key: 0}).validate()
 
     @pytest.mark.parametrize("halfwidth", [0.0, -5.0])
     def test_window_must_be_positive(self, halfwidth):
-        with pytest.raises(ExperimentConfigError, match="env_window_halfwidth"):
-            small_config(env_window_halfwidth=halfwidth).validate()
+        with pytest.raises(ExperimentConfigError, match="env_window_halfwidth must be positive"):
+            t5_config(env_window_halfwidth=halfwidth).validate()
+
+    @pytest.mark.parametrize(
+        "theorem, extra",
+        [
+            ("T2", {}),
+            ("T2-lattice", {"jump": rademacher()}),
+            ("T3", {"jump": SymmetricPareto(1.5), "env": periodic_env()}),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "key, value", [("env_window_halfwidth", 5e4), ("env_config_seed", 3)]
+    )
+    def test_t5_keys_rejected_elsewhere(self, theorem, extra, key, value):
+        cfg = small_config(theorem=theorem, **extra)
+        cfg.validate()
+        setattr(cfg, key, value)
+        with pytest.raises(ExperimentConfigError, match=f"{key} is a T5 key"):
+            cfg.validate()
+        t5_config(**{key: value}).validate()
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -179,7 +205,7 @@ class TestValidation:
             ({"u_grid": (0.5, math.nan)}, "u_grid"),
             ({"t": math.nan}, "t must be finite"),
             ({"t": math.inf}, "t must be finite"),
-            ({"env_window_halfwidth": math.inf}, "env_window_halfwidth"),
+            ({"env_window_halfwidth": math.inf}, "env_window_halfwidth must be positive"),
             ({"env": periodic_env()}, "only T3"),
             ({"kernel": bump_kernel()}, "only T5"),
             ({"theorem": "T5", "kernel": bump_kernel(), "env": periodic_env()}, "only T3"),
@@ -268,8 +294,7 @@ class TestRunExperiment:
         env = ShotNoiseEnv(
             kernel=bump_kernel(), config=sample_config((-50.0, 50.0), spawn_rng(SEED, "box"))
         )
-        lambda_inv, kinks = _integrand_and_kinks(env, lo, hi)
-        expected, _ = _quad(lambda_inv, lo, hi, kinks)
+        expected, _ = _quad(env.lambda_inv_many, lo, hi, _kinks(env, lo, hi))
         assert quenched_integral(
             box.f, env, points=box.breakpoints
         ) == pytest.approx(expected, rel=1e-12)

@@ -37,7 +37,7 @@ SEED = 20240808
 
 def flat_env(value: float) -> DeterministicEnv:
     return DeterministicEnv(
-        lambda_fn=lambda x: np.full_like(np.asarray(x, dtype=float), value),
+        lambda_inv_fn=lambda x: np.full_like(np.asarray(x, dtype=float), 1.0 / value),
         lambda_bar_inv=1.0 / value,
         name=f"flat({value})",
     )

@@ -134,8 +134,8 @@ def _build_from_flags(section, kind, flags):
 def cmd_simulate(jump_kind, wait_kind, env_kind, t, paths, seed, out, dump_path,
                  **law_flags):
     """Simulate path skeletons; emit per-path summary CSV."""
-    if t <= 0:
-        raise click.UsageError("--t must be positive")
+    if not 0.0 < t < np.inf:
+        raise click.UsageError("--t must be positive and finite")
     if paths < 1:
         raise click.UsageError("--paths must be at least 1")
     jump = _build_from_flags("jump", jump_kind, law_flags)
@@ -195,7 +195,7 @@ def cmd_local_time(alpha, beta, paths, seed, u_grid, out):
 def cmd_env(check_b3, exp_moment, n_list, moment_a, kernel_kind, seed, out,
             **kernel_flags):
     """Shot-noise environment diagnostics."""
-    if not (check_b3 or exp_moment):
+    if check_b3 == exp_moment:
         raise click.UsageError("choose one of --check-b3 or --exp-moment")
     kernel = _build_from_flags("kernel", kernel_kind, kernel_flags)
     if not exp_moment:
@@ -318,3 +318,7 @@ def cmd_compare(config_path, seed, workers, out_json, out_csv):
         sys.exit(EXIT_RUNTIME)
     if not report.passed:
         sys.exit(EXIT_THRESHOLD)
+
+
+if __name__ == "__main__":
+    main()

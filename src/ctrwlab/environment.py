@@ -3,10 +3,11 @@ shot-noise potentials, with their analytic moments and the empirical
 checks backing the sub-polynomial-growth and Cesaro-average assumptions.
 
 An environment answers 1/Lambda (``lambda_inv_many``), the only form the
-walk, the limit constants and the Cesaro check read.  A shot-noise
-environment is ``Lambda(x) = exp(-E(x))`` with ``E(x) = sum over
-configuration points y of phi(x - y)`` for a nonnegative kernel ``phi``
-bounded by ``C / (1 + |x|^(1+beta))``.  Evaluation truncates the sum to
+walk, the limit constants and the Cesaro check read, and rejects one that is
+not positive and finite.  A shot-noise environment is
+``Lambda(x) = exp(-E(x))`` with ``E(x) = sum over configuration points y of
+phi(x - y)`` for a nonnegative kernel ``phi`` bounded by
+``C / (1 + |x|^(1+beta))``.  Evaluation truncates the sum to
 ``|x - y| <= cutoff_r``; the expected mass dropped is at most
 ``2 C cutoff_r^(-beta) / beta`` per unit intensity, and the default cutoffs
 keep that below 1e-6.  Every read of the configuration goes through
@@ -160,6 +161,14 @@ def load_config(source) -> PoissonConfig:
     return PoissonConfig(points=points, lo=lo, hi=hi)
 
 
+def _checked_inverse(vals: np.ndarray) -> np.ndarray:
+    """``vals`` as answered by ``lambda_inv_many``: a 1/Lambda that is not
+    positive and finite raises DomainError."""
+    if not np.all((vals > 0.0) & np.isfinite(vals)):
+        raise DomainError("1/Lambda must be positive and finite everywhere")
+    return vals
+
+
 @dataclass(frozen=True)
 class DeterministicEnv:
     """A fixed profile of 1/Lambda(x) with its Cesaro average supplied
@@ -179,10 +188,9 @@ class DeterministicEnv:
             raise DomainError("lambda_bar_inv must be positive")
 
     def lambda_inv_many(self, x: np.ndarray) -> np.ndarray:
-        vals = np.asarray(self.lambda_inv_fn(np.asarray(x, dtype=float)), dtype=float)
-        if not np.all((vals > 0.0) & np.isfinite(vals)):
-            raise DomainError("1/Lambda must be positive and finite everywhere")
-        return vals
+        return _checked_inverse(
+            np.asarray(self.lambda_inv_fn(np.asarray(x, dtype=float)), dtype=float)
+        )
 
 
 def periodic_env(
@@ -200,11 +208,6 @@ def periodic_env(
         lambda_bar_inv=mean_level,
         name=f"periodic(mean={mean_level},amp={amplitude},freq={frequency})",
     )
-
-
-# potential_many hands the kernel at most about this many (site, point)
-# pairs at once, keeping its scratch arrays bounded.
-_WORK_CAP = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -239,10 +242,10 @@ class ShotNoiseEnv:
         """E(x) truncated to |x - y| <= cutoff_r, vectorized over x.
 
         Each site's value is its own sum over the configuration points
-        within the cutoff, so it does not depend on the other sites queried
-        with it.  The sites are sorted and merged with the points near them,
-        which finds every site's neighbours without a binary search into the
-        whole configuration.
+        within the cutoff, added in ascending order, so it does not depend
+        on the other sites queried with it.  The sites are sorted and merged
+        with the points near them, which finds every site's neighbours
+        without a binary search into the whole configuration.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.size == 0:
@@ -261,31 +264,24 @@ class ShotNoiseEnv:
         hi = np.cumsum(
             np.bincount(np.searchsorted(xs + r, near, side="left"), minlength=n + 1)
         )[:n]
-        counts = hi - lo
         sums = np.zeros(n)
-        # process in slices keeping the scratch arrays bounded
-        edges = np.arange(0, counts.sum() + _WORK_CAP, _WORK_CAP)
-        boundaries = np.unique(np.append(np.searchsorted(np.cumsum(counts), edges), n))
-        for lo_b, hi_b in zip(boundaries[:-1], boundaries[1:]):
-            sl = slice(int(lo_b), int(hi_b))
-            c = counts[sl]
-            total = int(c.sum())
-            if total == 0:
-                continue
-            starts = np.cumsum(c) - c
-            flat = np.repeat(lo[sl] - starts, c) + np.arange(total)
-            contrib = np.asarray(
-                self.kernel.phi(np.repeat(xs[sl], c) - near[flat]), dtype=float
-            )
-            # a site with no points in reach keeps 0 and opens no segment
-            reached = np.flatnonzero(c)
-            sums[sl.start + reached] = np.add.reduceat(contrib, starts[reached])
+        # pass d adds every site's d-th neighbour, so a site sums its own
+        # points in ascending order and no scratch array outgrows the batch
+        live = np.flatnonzero(hi > lo)
+        k = lo[live]
+        while live.size:
+            sums[live] += self.kernel.phi(xs[live] - near[k])
+            k += 1
+            keep = k < hi[live]
+            live, k = live[keep], k[keep]
         out = np.empty(n)
         out[order] = sums
         return out.reshape(x.shape)
 
     def lambda_inv_many(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(self.potential_many(x))
+        # a potential past about 709.8 overflows to inf, which is rejected
+        with np.errstate(over="ignore"):
+            return _checked_inverse(np.exp(self.potential_many(x)))
 
     @cached_property
     def lambda_bar_inv(self) -> float:

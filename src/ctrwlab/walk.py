@@ -162,8 +162,8 @@ def simulate_skeleton(
     this sizing hint: a walk that runs short draws another block, and the
     path's law is the same for any block size.
     """
-    if not horizon_t > 0.0:
-        raise DomainError(f"horizon_t must be positive, got {horizon_t}")
+    if not 0.0 < horizon_t < math.inf:
+        raise DomainError(f"horizon_t must be positive and finite, got {horizon_t}")
 
     mean_hold = wait.mu if env is None else wait.mu * env.lambda_bar_inv
     block = int(min(max(1024, 1.25 * horizon_t / mean_hold), 2**20))
@@ -182,12 +182,7 @@ def simulate_skeleton(
         if env is None:
             holds = theta
         else:
-            lam_inv = np.asarray(env.lambda_inv_many(sites_during), dtype=float)
-            if not np.all(np.isfinite(lam_inv)) or np.any(lam_inv <= 0.0):
-                raise SimulationError(
-                    "environment produced a nonpositive or nonfinite intensity"
-                )
-            holds = theta * lam_inv
+            holds = theta * env.lambda_inv_many(sites_during)
 
         cumhold = elapsed + np.cumsum(holds)
         exceed = np.nonzero(cumhold > horizon_t)[0]

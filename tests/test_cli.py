@@ -108,6 +108,14 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--t", "-5"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_nonfinite_horizon_exit_two_before_writing(self, runner, tmp_path, t):
+        out = tmp_path / "s.csv"
+        result = runner.invoke(main, ["simulate", "--t", t, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "finite" in result.output
+        assert not out.exists()
+
     def test_env_kind_builds_the_table_environment(self, runner):
         # the same walks as a periodic_env() built directly
         result = runner.invoke(
@@ -199,6 +207,11 @@ class TestEnv:
     def test_requires_an_action(self, runner):
         result = runner.invoke(main, ["env"])
         assert result.exit_code == 2
+
+    def test_takes_one_action(self, runner):
+        result = runner.invoke(main, ["env", "--check-b3", "--exp-moment", "--n", "10"])
+        assert result.exit_code == 2
+        assert "mean_lambda_inv" not in result.output
 
     def test_negative_n_exit_two(self, runner, tmp_path):
         out = tmp_path / "b3.csv"
@@ -548,13 +561,16 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
+SRC = os.path.dirname(os.path.dirname(ctrwlab.__file__))
+# a child process that imports ctrwlab from the same tree as this one
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p
+)}
+
+
 def test_no_scipy_import_at_start_up_or_during_a_run():
-    src = os.path.dirname(os.path.dirname(ctrwlab.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    )}
     out = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE], env=env, capture_output=True,
+        [sys.executable, "-c", SCIPY_PROBE], env=SRC_ENV, capture_output=True,
         text=True, timeout=300, check=True,
     )
     assert out.stdout.strip() == "[]"
@@ -573,16 +589,23 @@ compare_run.install_tracing(compare_run.Tracer(), SymmetricPareto)
 def test_benchmark_tracing_hooks_resolve():
     # the benchmark's traced run wraps package attributes by name, so a
     # refactor that drops one must fail here; the wrappers stay in the child
-    src = os.path.dirname(os.path.dirname(ctrwlab.__file__))
-    runner_script = Path(src).parent / "benchmarks" / "compare_run.py"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    )}
+    runner_script = Path(SRC).parent / "benchmarks" / "compare_run.py"
     out = subprocess.run(
-        [sys.executable, "-c", HOOK_PROBE, str(runner_script)], env=env,
+        [sys.executable, "-c", HOOK_PROBE, str(runner_script)], env=SRC_ENV,
         capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stderr
+
+
+def test_module_entry_point_runs(tmp_path):
+    # ``python -m ctrwlab.cli`` runs the command line, so a missing config
+    # is a usage error, not a silent exit 0
+    out = subprocess.run(
+        [sys.executable, "-m", "ctrwlab.cli", "compare", "--config", str(tmp_path / "none.cfg")],
+        env=SRC_ENV, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 2, out.stderr
+    assert "config file not found" in out.stderr
 
 
 def test_readme_command_examples_run(runner, tmp_path, monkeypatch):

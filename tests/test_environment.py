@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ctrwlab import environment
 from ctrwlab.environment import (
     DeterministicEnv,
     Kernel,
@@ -27,6 +26,8 @@ from ctrwlab.environment import (
 )
 from ctrwlab.errors import BoundaryError, DomainError, QuadratureError
 from ctrwlab.rng import spawn_rng
+from ctrwlab.stable import Gaussian
+from ctrwlab.walk import Exponential, simulate_skeleton
 
 SEED = 20240808
 
@@ -243,12 +244,6 @@ class TestPotential:
         env, xs = batch_env
         assert np.array_equal(env.potential_many(xs[::-1])[::-1], env.potential_many(xs))
 
-    def test_work_cap_same_bits(self, batch_env, monkeypatch):
-        env, xs = batch_env
-        whole = env.potential_many(xs)
-        monkeypatch.setattr(environment, "_WORK_CAP", 7)
-        assert np.array_equal(env.potential_many(xs), whole)
-
     def test_fsum_oracle(self, batch_env):
         env, xs = batch_env
         pts, r = env.config.points, env.kernel.cutoff_r
@@ -259,6 +254,28 @@ class TestPotential:
             ]
         )
         np.testing.assert_allclose(env.potential_many(xs), exact, rtol=1e-14, atol=0.0)
+
+    def test_many_neighbours_fsum_oracle(self):
+        # about 500 points within the cutoff of the origin, summed in order
+        pts = np.sort(spawn_rng(SEED, "crowd").uniform(-60.0, 60.0, 500))
+        env = ShotNoiseEnv(kernel=power_kernel(), config=PoissonConfig(pts, -200.0, 200.0))
+        assert env.kernel.cutoff_r > 60.0
+        exact = math.fsum(env.kernel.phi(-pts))
+        assert potential(env, 0.0) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    def test_scratch_memory_bounded_by_the_batch(self):
+        # the default power kernel reaches about 140 points per site; the
+        # scratch arrays must scale with the sites, not with the pairs
+        cfg = sample_config((-1200.0, 1200.0), spawn_rng(SEED, "memory"))
+        env = ShotNoiseEnv(kernel=power_kernel(), config=cfg)
+        xs = spawn_rng(SEED, "memory-sites").uniform(-1000.0, 1000.0, 20_000)
+        tracemalloc.start()
+        try:
+            env.potential_many(xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * xs.nbytes
 
     @pytest.mark.parametrize(
         "kernel", [bump_kernel(), power_kernel(0.5, 3.0, tail_tol=1e-3)], ids=["bump", "power"]
@@ -467,6 +484,37 @@ class TestSupGrowth:
             ratios = [s / n**0.1 for n, s in sups]
             wins += ratios[0] > ratios[1] > ratios[2]
         assert wins >= 0.95 * n_configs
+
+
+class TestOverflow:
+    # potentials past about 709.8 overflow 1/Lambda = e^E at the origin
+    @staticmethod
+    def stacked_env():
+        # 1100 points at 0 reach a potential of 1100 ln 2 and keep E[1/Lambda],
+        # which sizes a walk's blocks, finite
+        return ShotNoiseEnv(kernel=bump_kernel(), config=PoissonConfig(np.zeros(1100), -1e4, 1e4))
+
+    @pytest.fixture(params=["one point, A=1000", "1100 points, A=ln 2"])
+    def env(self, request):
+        if request.param.startswith("one"):
+            cfg = PoissonConfig(np.array([0.0]), -1e4, 1e4)
+            return ShotNoiseEnv(kernel=bump_kernel(1000.0), config=cfg)
+        return self.stacked_env()
+
+    def test_lambda_inv_many(self, env):
+        assert lambda_inv(env, 2.0) == 1.0
+        with pytest.raises(DomainError, match="finite"):
+            env.lambda_inv_many(np.array([0.0]))
+
+    def test_sup_growth_check(self, env):
+        with pytest.raises(DomainError, match="finite"):
+            sup_growth_check(env, [5])
+
+    def test_simulate_skeleton(self):
+        # with A=1000 E[1/Lambda] itself overflows before the first step
+        env = self.stacked_env()
+        with pytest.raises(DomainError, match="finite"):
+            simulate_skeleton(Gaussian(1.0), Exponential(1.0), 10.0, spawn_rng(SEED), env=env)
 
 
 class TestDeterministicEnv:

@@ -119,6 +119,11 @@ class TestSimulateSkeleton:
         with pytest.raises(DomainError):
             simulate_skeleton(Gaussian(1.0), Exponential(1.0), -1.0, spawn_rng(SEED))
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_nonfinite_horizon(self, horizon):
+        with pytest.raises(DomainError, match="finite"):
+            simulate_skeleton(Gaussian(1.0), Exponential(1.0), horizon, spawn_rng(SEED))
+
     def test_mismatched_skeleton_rejected(self):
         # a typed error, not an assert, so the check survives python -O
         with pytest.raises(SimulationError):

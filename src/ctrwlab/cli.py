@@ -22,7 +22,7 @@ from .environment import (
     sample_config,
     sup_growth_check,
 )
-from .errors import CtrwLabError, DomainError, ExperimentConfigError
+from .errors import CtrwLabError, DomainError, ExperimentConfigError, ReportIOError
 from .harness import (
     _PARSE,
     KINDS,
@@ -43,17 +43,17 @@ EXIT_THRESHOLD = 3
 
 @contextlib.contextmanager
 def _output(path):
-    """The stream for ``path`` ("-" is stdout); a CtrwLabError raised while
-    writing it is reported and exits with EXIT_RUNTIME."""
-    fh = sys.stdout if path == "-" else open(path, "w")
+    """The stream for ``path`` ("-" is stdout).  A CtrwLabError raised while
+    writing it, or an OSError from opening or writing any file (as a
+    ReportIOError), is reported and exits with EXIT_RUNTIME."""
     try:
-        yield fh
-    except CtrwLabError as exc:
+        with contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w") as fh:
+            yield fh
+    except (CtrwLabError, OSError) as exc:
+        if isinstance(exc, OSError):
+            exc = ReportIOError(exc.filename or path, exc)
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_RUNTIME)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 # A seed is a nonnegative integer: it seeds a numpy SeedSequence.

@@ -138,21 +138,22 @@ def save_config(config: PoissonConfig, destination) -> None:
 
 def load_config(source) -> PoissonConfig:
     """Read a configuration in the ``save_config`` format.  The points may
-    come in any order; they are sorted, and one outside the window raises
-    DomainError."""
+    come in any order; they are sorted.  A point outside the window, or a
+    line that is not a number, raises DomainError."""
     points = []
     lo = hi = None
     with open(source) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line.split()
-                if len(parts) >= 4 and parts[1] == "window":
-                    lo, hi = float(parts[2]), float(parts[3])
-                continue
-            points.append(float(line))
+            try:
+                if line.startswith("#"):
+                    parts = line.split()
+                    if len(parts) >= 4 and parts[1] == "window":
+                        lo, hi = float(parts[2]), float(parts[3])
+                elif line:
+                    points.append(float(line))
+            except ValueError as exc:
+                raise DomainError(f"config line {number}: {exc}") from exc
     if lo is None or hi is None:
         raise DomainError("config file lacks a window header line")
     points = np.sort(np.asarray(points, dtype=float))
@@ -361,21 +362,32 @@ def _quad_line(h, what: str, points, a: float = -math.inf, b: float = math.inf) 
 
 def _exp_phi_integral(kernel: Kernel, a: float) -> float:
     """integral over the line of (exp(a phi(y)) - 1) dy by the checked rule
-    ``_quad_line``, split where kernels kink: at 0 and at the cutoff."""
+    ``_quad_line``, split where kernels kink: at 0 and at the cutoff.  An
+    exp(a phi) past the float range raises DomainError."""
     if a == 0.0:
         return 0.0
     r = kernel.cutoff_r
-    return _quad_line(
-        lambda y: np.expm1(a * np.asarray(kernel.phi(y), dtype=float)),
-        "exp(a phi) - 1",
-        (-r, 0.0, r),
-    )
+
+    def h(y):
+        with np.errstate(over="ignore"):
+            vals = np.expm1(a * np.asarray(kernel.phi(y), dtype=float))
+        if np.isinf(vals).any():
+            raise DomainError(
+                f"E[Lambda^(-a)] overflows at a={a:g}: exp(a phi) passes the float range"
+            )
+        return vals
+
+    return _quad_line(h, "exp(a phi) - 1", (-r, 0.0, r))
 
 
 def mean_lambda_inv_analytic(kernel: Kernel, a: float) -> float:
     """E[Lambda(x)^(-a)] = exp(integral of (e^(a phi) - 1)) for the
-    unit-intensity Poisson environment (location-independent)."""
-    return math.exp(_exp_phi_integral(kernel, a))
+    unit-intensity Poisson environment (location-independent).  A moment
+    past the float range raises DomainError."""
+    try:
+        return math.exp(_exp_phi_integral(kernel, a))
+    except OverflowError:
+        raise DomainError(f"E[Lambda^(-a)] overflows at a={a:g}") from None
 
 
 def theorem5_constant(kernel: Kernel, alpha: float) -> float:

@@ -54,8 +54,9 @@ class ExperimentConfigError(CtrwLabError, ValueError):
 
 
 class ReportIOError(CtrwLabError):
-    """Writing a report failed; carries the destination path."""
+    """Writing a report or other output file failed; carries the
+    destination path."""
 
     def __init__(self, path, cause):
         self.path = str(path)
-        super().__init__(f"could not write report to {path}: {cause}")
+        super().__init__(f"could not write {path}: {cause}")

@@ -4,15 +4,19 @@ holding times) and exact evaluation of additive functionals.
 A path is generated from iid jumps ``xi_k`` and iid positive waits
 ``theta_k``; the sojourn at the (k-1)-th visited site is ``theta_k`` for the
 plain walk and ``theta_k / Lambda(S_(k-1))`` when an environment delays the
-walker (the origin hold is included).  Because the path is piecewise
-constant, ``integral_0^T f(X_s) ds`` is a finite sum of hold times weighted
-by f at the visited sites plus one partial term; no quadrature is involved.
+walker (the origin hold is included).  A path has one clock, the in-order
+running sum of its holds (``PathSkeleton.jump_times``): the walk stops at
+the first hold whose end on it passes the horizon.  Because the path is
+piecewise constant, ``integral_0^T f(X_s) ds`` is a finite sum of hold
+times weighted by f at the visited sites plus one partial term on that
+clock; no quadrature is involved.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -98,45 +102,50 @@ class DeterministicWait:
 
 WaitLaw = Union[Exponential, ParetoWait, GammaWait, DeterministicWait]
 
-DEFAULT_JUMP_CAP = 10**8
+# The most jumps one path may take before JumpCapError.
+JUMP_CAP = 10**8
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathSkeleton:
     """The embedded walk and its holding times up to a horizon.
 
     ``positions[k]`` is the site S_k occupied after k jumps (S_0 = 0) and
     ``holds[k]`` is the sojourn that starts there, so both arrays have
     ``n_jumps + 1`` entries; the final hold is the one straddling the
-    horizon.  Renewal bracketing: ``sum(holds[:-1]) <= horizon_t <
-    sum(holds)``.
+    horizon.  The path's one clock is ``jump_times``, the in-order running
+    sum of the holds, and renewal bracketing reads it: the horizon lies in
+    [jump_times[-2], jump_times[-1]), with 0 for the left end if no jump.
     """
 
     positions: np.ndarray
     holds: np.ndarray
     horizon_t: float
-    n_jumps: int
 
     def __post_init__(self):
-        expected = self.n_jumps + 1
-        if len(self.positions) != expected or len(self.holds) != expected:
+        if len(self.positions) != len(self.holds) or len(self.holds) == 0:
             raise SimulationError(
-                f"skeleton with n_jumps={self.n_jumps} needs {expected} "
-                f"positions and holds, got {len(self.positions)} and {len(self.holds)}"
+                "a skeleton needs equal, nonzero numbers of positions and "
+                f"holds, got {len(self.positions)} and {len(self.holds)}"
             )
 
     @property
+    def n_jumps(self) -> int:
+        return len(self.positions) - 1
+
+    @cached_property
     def jump_times(self) -> np.ndarray:
-        """tau_k = end of the k-th hold, k = 1..n_jumps+1."""
+        """tau_k = end of the k-th hold, k = 1..n_jumps+1: the clock,
+        computed once per path."""
         return np.cumsum(self.holds)
 
     def check_bracketing(self) -> None:
-        completed = float(np.sum(self.holds[:-1]))
-        total = completed + float(self.holds[-1])
-        if not (completed <= self.horizon_t < total):
+        tau = self.jump_times
+        completed = float(tau[-2]) if self.n_jumps else 0.0
+        if not (completed <= self.horizon_t < tau[-1]):
             raise SimulationError(
-                f"renewal bracketing violated: sum(holds[:-1])={completed!r}, "
-                f"t={self.horizon_t!r}, sum(holds)={total!r}"
+                f"renewal bracketing violated: jump_times[-2]={completed!r}, "
+                f"t={self.horizon_t!r}, jump_times[-1]={float(tau[-1])!r}"
             )
 
 
@@ -146,14 +155,12 @@ def simulate_skeleton(
     horizon_t: float,
     rng: RandomSource,
     env=None,
-    jump_cap: int = DEFAULT_JUMP_CAP,
 ) -> PathSkeleton:
     """Generate one path up to ``horizon_t``.
 
     With ``env`` given, the sojourn at site S_(k-1) is theta_k multiplied by
-    the inverse intensity at that site.  Generation stops at the first hold
-    whose cumulative time exceeds the horizon; that hold is kept as the
-    straddling entry.
+    the inverse intensity at that site.  The clock is carried across draw
+    blocks, and the hold that straddles the horizon is kept last.
 
     Waits and jumps are drawn in blocks of 1.25 t / (mu lambda_bar_inv)
     (at least 1024, at most 2**20): 25% above the expected number of
@@ -170,7 +177,7 @@ def simulate_skeleton(
     pos_chunks = [np.zeros(1)]
     hold_chunks = []
     elapsed = 0.0
-    count = 0  # jumps fully committed so far
+    count = 0  # jumps committed so far, held to JUMP_CAP
     last_site = 0.0
 
     while True:
@@ -179,34 +186,24 @@ def simulate_skeleton(
         sites_after = last_site + np.cumsum(xi)
         # hold k of this block is spent at the site occupied before jump k
         sites_during = np.concatenate(([last_site], sites_after[:-1]))
-        if env is None:
-            holds = theta
-        else:
-            holds = theta * env.lambda_inv_many(sites_during)
+        holds = theta  # scaled in place by 1/Lambda under an environment
+        if env is not None:
+            holds *= env.lambda_inv_many(sites_during)
 
-        cumhold = elapsed + np.cumsum(holds)
-        exceed = np.nonzero(cumhold > horizon_t)[0]
-        if exceed.size:
-            j = int(exceed[0])  # hold j (block-local) straddles the horizon
-            if count + j > jump_cap:
-                raise JumpCapError(jump_cap, horizon_t)
-            pos_chunks.append(sites_after[:j])
-            hold_chunks.append(holds[: j + 1])
-            count += j
+        clock = np.cumsum(np.concatenate(([elapsed], holds)))[1:]
+        # hold j (block-local) straddles the horizon; none does if j == block
+        j = int(np.searchsorted(clock, horizon_t, side="right"))
+        count += j
+        if count > JUMP_CAP:
+            raise JumpCapError(JUMP_CAP, horizon_t)
+        pos_chunks.append(sites_after[:j])
+        hold_chunks.append(holds[: j + 1])
+        if j < block:
             break
-        if count + block > jump_cap:
-            raise JumpCapError(jump_cap, horizon_t)
-        pos_chunks.append(sites_after)
-        hold_chunks.append(holds)
-        count += block
-        elapsed = float(cumhold[-1])
+        elapsed = float(clock[-1])
         last_site = float(sites_after[-1])
 
-    positions = np.concatenate(pos_chunks)
-    holds = np.concatenate(hold_chunks)
-    path = PathSkeleton(
-        positions=positions, holds=holds, horizon_t=horizon_t, n_jumps=count
-    )
+    path = PathSkeleton(np.concatenate(pos_chunks), np.concatenate(hold_chunks), horizon_t)
     path.check_bracketing()
     return path
 
@@ -254,11 +251,12 @@ def additive_functional(
     if np.any(u < 0.0) or np.any(u > 1.0):
         raise DomainError("u_grid must lie in [0, 1]")
     fvals = np.asarray(spec.f(path.positions), dtype=float)
-    tau = np.concatenate(([0.0], np.cumsum(path.holds)))
     prefix = np.concatenate(([0.0], np.cumsum(path.holds * fvals)))
     cutoffs = u * path.horizon_t
-    done = np.searchsorted(tau[1:], cutoffs, side="right")
-    return prefix[done] + (cutoffs - tau[done]) * fvals[done]
+    done = np.searchsorted(path.jump_times, cutoffs, side="right")
+    # each cutoff falls in hold `done`, which began at jump_times[done - 1]
+    began = np.where(done > 0, path.jump_times[done - 1], 0.0)
+    return prefix[done] + (cutoffs - began) * fvals[done]
 
 
 def normalized_functional(
@@ -323,21 +321,21 @@ def dump_skeleton(path: PathSkeleton, destination) -> None:
 
 
 def load_skeleton(source, horizon_t: float) -> PathSkeleton:
-    """Read a skeleton written by ``dump_skeleton``."""
-    ks, sites, holds = [], [], []
+    """Read a ``dump_skeleton`` file as a path up to ``horizon_t`` and check its
+    bracketing; a line other than ``k S_k h_(k+1)``, h > 0, is a DomainError."""
+    sites, holds = [], []
     with open(source) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
+        for number, line in enumerate(fh, 1):
+            if not line.split():
                 continue
-            ks.append(int(parts[0]))
-            sites.append(float(parts[1]))
-            holds.append(float(parts[2]))
-    if ks != list(range(len(ks))):
-        raise DomainError("skeleton file has nonconsecutive indices")
-    return PathSkeleton(
-        positions=np.asarray(sites),
-        holds=np.asarray(holds),
-        horizon_t=horizon_t,
-        n_jumps=len(ks) - 1,
-    )
+            try:
+                k, site, hold = line.split()
+                if int(k) != len(sites) or not float(hold) > 0.0:
+                    raise ValueError(f"expected index {len(sites)} and a positive hold")
+                sites.append(float(site))
+                holds.append(float(hold))
+            except ValueError as exc:
+                raise DomainError(f"skeleton line {number}: {exc}") from exc
+    path = PathSkeleton(np.asarray(sites), np.asarray(holds), horizon_t)
+    path.check_bracketing()
+    return path

@@ -79,6 +79,13 @@ class TestSampleStable:
         result = runner.invoke(main, ["sample-stable", "--alpha", "0.5", "--n", "1"])
         assert result.exit_code == 2
 
+    def test_unwritable_out_is_a_runtime_error(self, runner, tmp_path):
+        out = tmp_path / "missing-dir" / "x.txt"
+        result = runner.invoke(main, ["sample-stable", "--alpha", "1.5", "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"error: could not write {out}" in result.output
+        assert isinstance(result.exception, SystemExit)
+
 
 class TestSimulate:
     def test_summary_rows(self, runner, tmp_path):
@@ -134,6 +141,13 @@ class TestSimulate:
     def test_unknown_env_kind_exit_two(self, runner):
         result = runner.invoke(main, ["simulate", "--t", "20", "--env", "periodic"])
         assert result.exit_code == 2
+
+    def test_unwritable_dump_is_a_runtime_error(self, runner, tmp_path):
+        dump = tmp_path / "missing-dir" / "d.txt"
+        result = runner.invoke(main, ["simulate", "--t", "10", "--dump-skeleton", str(dump)])
+        assert result.exit_code == 1
+        assert f"error: could not write {dump}" in result.output
+        assert isinstance(result.exception, SystemExit)
 
 
 class TestLocalTime:
@@ -204,6 +218,12 @@ class TestEnv:
         assert result.exit_code == 0
         assert "mean_lambda_inv" in result.output
 
+    def test_exp_moment_overflow_is_a_runtime_error(self, runner):
+        result = runner.invoke(main, ["env", "--exp-moment", "--amplitude", "1000"])
+        assert result.exit_code == 1
+        assert "error: E[Lambda^(-a)] overflows" in result.output
+        assert "mean_lambda_inv" not in result.output
+
     def test_requires_an_action(self, runner):
         result = runner.invoke(main, ["env"])
         assert result.exit_code == 2
@@ -270,6 +290,16 @@ class TestCompare:
         report = json.loads(out_json.read_text())
         assert report["passed"] is True
         assert report["config_echo"]["master_seed"] == 20240808
+
+    def test_deterministic_waits_reach_a_verdict(self, runner, tmp_path):
+        # 10^4 holds of 0.1 sum to 999.9999999999999 in order, so the hold
+        # that straddles t = 1000 is the 10^4 + 1-th on the path's one clock
+        cfg = tmp_path / "det.cfg"
+        cfg.write_text(PASSING_CONFIG.replace("kind = exponential\nmean = 1.0",
+                                              "kind = deterministic\nmean = 0.1"))
+        result = runner.invoke(main, ["compare", "--config", str(cfg)])
+        assert result.exit_code in (0, 3), result.output
+        assert "overall:" in result.output
 
     def test_threshold_failure_exit_three(self, runner, tmp_path):
         cfg = tmp_path / "strict.cfg"

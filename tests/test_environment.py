@@ -154,6 +154,13 @@ class TestPoissonConfig:
         with pytest.raises(DomainError, match="window"):
             load_config(dest)
 
+    @pytest.mark.parametrize("bad", ["abc", "# window -10 ten"])
+    def test_load_names_a_malformed_line(self, tmp_path, bad):
+        dest = tmp_path / "config.txt"
+        dest.write_text(f"# window -10 10\n0.1\n\n{bad}\n")
+        with pytest.raises(DomainError, match="line 4"):
+            load_config(dest)
+
 
 def potential(env: ShotNoiseEnv, x: float) -> float:
     return float(env.potential_many(np.array([x]))[0])
@@ -514,6 +521,20 @@ class TestOverflow:
         # with A=1000 E[1/Lambda] itself overflows before the first step
         env = self.stacked_env()
         with pytest.raises(DomainError, match="finite"):
+            simulate_skeleton(Gaussian(1.0), Exponential(1.0), 10.0, spawn_rng(SEED), env=env)
+
+    @pytest.mark.parametrize("amplitude", [10.0, 1000.0])
+    def test_moment_overflow(self, amplitude):
+        # A=10: the integral is finite but exp of it is not; A=1000: exp(a phi)
+        # itself overflows at the origin
+        with pytest.raises(DomainError, match="overflows"):
+            mean_lambda_inv_analytic(bump_kernel(amplitude), 1.0)
+
+    def test_simulate_skeleton_sized_by_an_overflowing_moment(self):
+        # the block size reads E[1/Lambda] before the first step
+        cfg = PoissonConfig(np.array([0.0]), -1e4, 1e4)
+        env = ShotNoiseEnv(kernel=bump_kernel(1000.0), config=cfg)
+        with pytest.raises(DomainError, match="overflows"):
             simulate_skeleton(Gaussian(1.0), Exponential(1.0), 10.0, spawn_rng(SEED), env=env)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctrwlab import walk
 from ctrwlab.environment import (
     DeterministicEnv,
     ShotNoiseEnv,
@@ -105,15 +106,10 @@ class TestSimulateSkeleton:
             path = simulate_skeleton(jump, wait, 200.0, spawn_rng(SEED, "brk", i))
             path.check_bracketing()
 
-    def test_jump_cap(self):
+    def test_jump_cap(self, monkeypatch):
+        monkeypatch.setattr(walk, "JUMP_CAP", 10)
         with pytest.raises(JumpCapError):
-            simulate_skeleton(
-                Gaussian(1.0),
-                Exponential(1.0),
-                1e4,
-                spawn_rng(SEED, "cap"),
-                jump_cap=10,
-            )
+            simulate_skeleton(Gaussian(1.0), Exponential(1.0), 1e4, spawn_rng(SEED, "cap"))
 
     def test_bad_horizon(self):
         with pytest.raises(DomainError):
@@ -127,13 +123,9 @@ class TestSimulateSkeleton:
     def test_mismatched_skeleton_rejected(self):
         # a typed error, not an assert, so the check survives python -O
         with pytest.raises(SimulationError):
-            PathSkeleton(
-                positions=np.zeros(3), holds=np.ones(2), horizon_t=1.5, n_jumps=2
-            )
+            PathSkeleton(positions=np.zeros(3), holds=np.ones(2), horizon_t=1.5)
         with pytest.raises(SimulationError):
-            PathSkeleton(
-                positions=np.zeros(2), holds=np.ones(2), horizon_t=1.5, n_jumps=2
-            )
+            PathSkeleton(positions=np.zeros(0), holds=np.ones(0), horizon_t=1.5)
 
 
 @dataclasses.dataclass
@@ -188,13 +180,44 @@ class TestDrawBudget:
         assert np.array_equal(plain.holds, flat.holds)
 
 
+class TestClock:
+    """The walk, the bracketing check and the functional read one clock,
+    the in-order running sum of the holds."""
+
+    @pytest.mark.parametrize("t", [100.0, 1000.0, 3000.0, 1e4, 12345.0])
+    @pytest.mark.parametrize("mean", [0.01, 0.1, 0.2, 0.3, 1.0 / 3.0, 0.7])
+    def test_deterministic_waits_bracket(self, mean, t):
+        # holds of 0.1 sum to 999.9999999999999 after 10^4 of them, so a
+        # pairwise sum and a running sum disagree on which hold straddles
+        path = simulate_skeleton(rademacher(), DeterministicWait(mean), t, spawn_rng(SEED, "det"))
+        tau = np.cumsum(path.holds)
+        assert (tau[-2] if path.n_jumps else 0.0) <= t < tau[-1]
+        spec = FunctionalSpec(f=lambda x: np.ones_like(x), f_integral=None)
+        assert additive_functional(path, spec, [1.0])[0] == pytest.approx(t, rel=1e-12)
+
+    def test_clock_carried_across_blocks(self):
+        # a sizing hint 100x the true mean of 1/Lambda forces 1024-jump
+        # blocks, about ten of them
+        env = DeterministicEnv(
+            lambda_inv_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+            lambda_bar_inv=100.0,
+            name="unit, hint 100",
+        )
+        wait = CountingWait()
+        path = simulate_skeleton(Gaussian(1.0), wait, 1e4, spawn_rng(SEED, "blocks"), env=env)
+        assert set(wait.sizes) == {1024} and len(wait.sizes) >= 5
+        tau = np.cumsum(path.holds)
+        assert tau[-2] <= 1e4 < tau[-1]
+        assert np.array_equal(path.jump_times, tau)
+        path.check_bracketing()
+
+
 class TestPositionAt:
     def test_cadlag_at_jump_times(self):
         path = PathSkeleton(
             positions=np.array([0.0, 1.0, 3.0]),
             holds=np.array([1.0, 2.0, 4.0]),
             horizon_t=5.0,
-            n_jumps=2,
         )
         assert position_at(path, 0.0) == 0.0
         assert position_at(path, 0.999999) == 0.0
@@ -204,7 +227,7 @@ class TestPositionAt:
 
     def test_out_of_range(self):
         path = PathSkeleton(
-            positions=np.array([0.0]), holds=np.array([2.0]), horizon_t=1.0, n_jumps=0
+            positions=np.array([0.0]), holds=np.array([2.0]), horizon_t=1.0
         )
         with pytest.raises(DomainError):
             position_at(path, 1.5)
@@ -239,7 +262,6 @@ class TestAdditiveFunctional:
             positions=np.array([0.0, 2.0, 5.0]),
             holds=np.array([1.0, 2.0, 4.0]),
             horizon_t=2.5,
-            n_jumps=2,
         )
         spec = FunctionalSpec(
             f=lambda x: (np.abs(x) < 1e-12).astype(float), f_integral=None
@@ -372,6 +394,23 @@ class TestSkeletonIO:
         assert loaded.n_jumps == path.n_jumps
         assert np.array_equal(loaded.positions, path.positions)
         assert np.array_equal(loaded.holds, path.holds)
+
+    def test_horizon_past_the_holds_rejected(self, tmp_path):
+        dest = tmp_path / "skeleton.txt"
+        dest.write_text("0 0 1.0\n1 1 2.0\n")
+        assert load_skeleton(dest, 2.5).n_jumps == 1
+        with pytest.raises(SimulationError, match="bracketing"):
+            load_skeleton(dest, 3.0)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["1 x 1.0", "1 2.0", "1 2.0 1.0 4", "2 2.0 1.0", "one 2.0 1.0", "1 2.0 -0.5", "1 2.0 0"],
+    )
+    def test_malformed_line_names_its_number(self, tmp_path, line):
+        dest = tmp_path / "skeleton.txt"
+        dest.write_text(f"0 0 1.0\n\n{line}\n")
+        with pytest.raises(DomainError, match="line 3"):
+            load_skeleton(dest, 1.5)
 
 
 @given(st.floats(0.2, 5.0), st.floats(1.05, 1.95))

@@ -2,15 +2,14 @@
 
 Exit codes: 0 success (and all thresholds passed for ``compare``),
 1 runtime failure, 2 validation/usage error, 3 threshold failure.
-Experiment configs are flat key=value INI files; unknown sections or keys
-are rejected.  See the README for the schema and examples.
+Experiment configs are flat key=value INI files, read by
+``harness.load_experiment_config``; unknown sections or keys are rejected.
+See the README for the schema and examples.
 """
 
 from __future__ import annotations
 
-import configparser
 import contextlib
-import dataclasses
 import sys
 
 import click
@@ -23,14 +22,7 @@ from .environment import (
     sup_growth_check,
 )
 from .errors import CtrwLabError, DomainError, ExperimentConfigError, ReportIOError
-from .harness import (
-    _PARSE,
-    KINDS,
-    ExperimentConfig,
-    build,
-    emit_report,
-    run_experiment,
-)
+from .harness import KINDS, build, emit_report, load_experiment_config, run_experiment
 from .levy import sample_local_time_exact
 from .rng import spawn_rng
 from .stable import StableParams, sample_stable
@@ -216,68 +208,6 @@ def cmd_env(check_b3, exp_moment, n_list, moment_a, kernel_kind, seed, out,
             fh.write("n,sup_lambda_inv\n")
             for n, sup in sup_growth_check(env, ns):
                 fh.write(f"{n},{sup:.17g}\n")
-
-
-_OUTPUT_KEYS = ("json", "csv")
-# Sections whose kinds and keys come from the kind table.
-_KIND_SECTIONS = ("jump", "wait", "functional", "env")
-# The [experiment] keys and their defaults: every ExperimentConfig field but
-# the law sections.
-_EXPERIMENT_DEFAULTS = {
-    f.name: f.default for f in dataclasses.fields(ExperimentConfig) if f.name not in KINDS
-}
-
-
-def _experiment_value(exp, key):
-    """The value of ``[experiment] key``, read by its field's parser: the
-    harness ``_PARSE`` entry, else the type of the field's default."""
-    default = _EXPERIMENT_DEFAULTS[key]
-    try:
-        if isinstance(default, bool):
-            return exp.getboolean(key)
-        return _PARSE.get(key, type(default))(exp[key])
-    except ValueError as exc:
-        raise ExperimentConfigError(
-            f"bad experiment {key} {exp[key]!r}: {exc}"
-        ) from exc
-
-
-def load_experiment_config(path) -> tuple[ExperimentConfig, dict]:
-    """Parse an INI experiment file into an ExperimentConfig plus output
-    paths.  A key left out or left empty takes the field's default."""
-    # An inline comment needs whitespace before its ";", so the
-    # semicolon-separated fdd_pairs value is left intact.
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    try:
-        read = parser.read(path)
-    except configparser.Error as exc:
-        raise ExperimentConfigError(f"malformed config file: {exc}") from exc
-    if not read:
-        raise ExperimentConfigError(f"config file not found: {path}")
-    keys = {"experiment": _EXPERIMENT_DEFAULTS, "output": _OUTPUT_KEYS}
-    for section in parser.sections():
-        if section in _KIND_SECTIONS:
-            continue
-        if section not in keys:
-            raise ExperimentConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in keys[section]:
-                raise ExperimentConfigError(
-                    f"unknown key {key!r} in section [{section}]"
-                )
-    if "experiment" not in parser:
-        raise ExperimentConfigError("config file needs an [experiment] section")
-    exp = parser["experiment"]
-    built = {key: _experiment_value(exp, key) for key in exp if exp[key].strip()}
-    for section in _KIND_SECTIONS:
-        values = dict(parser[section]) if section in parser else {}
-        kind = values.pop("kind", next(iter(KINDS[section])))
-        if section == "env" and kind == "shot_noise":
-            built["kernel"] = build("kernel", values.pop("kernel", "bump"), values)
-        else:
-            built[section] = build(section, kind, values)
-    outputs = dict(parser["output"]) if "output" in parser else {}
-    return ExperimentConfig(**built), outputs
 
 
 @main.command("compare")

@@ -68,7 +68,14 @@ def power_kernel(
 ) -> Kernel:
     """phi(x) = A / (1 + |x|^(1+beta)), cutoff sized so the truncation
     bound stays below ``tail_tol``."""
-    cutoff = (2.0 * amplitude / (decay_beta * tail_tol)) ** (1.0 / decay_beta)
+    if not (decay_beta > 0.0 and tail_tol > 0.0):
+        raise DomainError(f"decay_beta and tail_tol must be positive: {decay_beta}, {tail_tol}")
+    try:
+        cutoff = (2.0 * amplitude / (decay_beta * tail_tol)) ** (1.0 / decay_beta)
+    except (OverflowError, ZeroDivisionError):
+        cutoff = math.inf
+    if cutoff == math.inf:
+        raise DomainError(f"power kernel cutoff overflows at decay_beta={decay_beta}")
 
     def phi(x):
         return amplitude / (1.0 + np.abs(x) ** (1.0 + decay_beta))

@@ -11,6 +11,7 @@ the master seed and k alone, so reports are identical for any worker count.
 
 from __future__ import annotations
 
+import configparser
 import json
 import math
 import time
@@ -218,8 +219,7 @@ KINDS = {
     },
 }
 
-# Keys whose INI text is not a float (kind keys) or not read by the type of
-# the field's default (``[experiment]`` keys).
+# Keys whose INI text is not read by the type of their default.
 _PARSE = {
     "weights": _parse_weights,
     "u_grid": _parse_floats,
@@ -228,6 +228,27 @@ _PARSE = {
     "env_config_seed": int,
 }
 _FORMAT = {"weights": _format_weights}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError("not a boolean") from None
+
+
+def _read(section: str, key: str, raw, default):
+    """The value of ``key`` from its INI text (or a flag's value) ``raw``,
+    parsed by its ``_PARSE`` entry, else by the type of ``default``.  A bool
+    takes the INI words; a float that is not finite is rejected."""
+    parse = _PARSE.get(key, _parse_bool if isinstance(default, bool) else type(default))
+    try:
+        value = parse(raw)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError("not finite")
+    except ValueError as exc:
+        raise ExperimentConfigError(f"bad {section} {key} {raw!r}: {exc}") from exc
+    return value
 
 
 def build(section: str, kind: str, values=None):
@@ -243,14 +264,56 @@ def build(section: str, kind: str, values=None):
                 f"{section} kind {kind!r} takes no key {key!r}"
                 f" (its keys: {', '.join(defaults) or 'none'})"
             )
-    args = {}
-    for key, default in defaults.items():
-        raw = values.get(key, default)
-        try:
-            args[key] = _PARSE.get(key, float)(raw)
-        except ValueError as exc:
-            raise ExperimentConfigError(f"bad {section} {key} {raw!r}: {exc}") from exc
-    return make(**args)
+    return make(**{
+        key: _read(section, key, values.get(key, default), default)
+        for key, default in defaults.items()
+    })
+
+
+_OUTPUT_KEYS = ("json", "csv")
+# Sections whose kinds and keys come from the kind table.
+_KIND_SECTIONS = ("jump", "wait", "functional", "env")
+# The [experiment] keys and their defaults: every ExperimentConfig field but
+# the law sections.
+_EXPERIMENT_DEFAULTS = {
+    f.name: f.default for f in fields(ExperimentConfig) if f.name not in KINDS
+}
+
+
+def load_experiment_config(path) -> tuple[ExperimentConfig, dict]:
+    """Parse an INI experiment file into an ExperimentConfig plus output
+    paths.  A key left out or left empty takes the field's default."""
+    # An inline comment needs whitespace before its ";", so the
+    # semicolon-separated fdd_pairs value is left intact.
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ExperimentConfigError(f"malformed config file: {exc}") from exc
+    if not read:
+        raise ExperimentConfigError(f"config file not found: {path}")
+    keys = {"experiment": _EXPERIMENT_DEFAULTS, "output": _OUTPUT_KEYS}
+    for section in parser.sections():
+        if section in _KIND_SECTIONS:
+            continue
+        if section not in keys:
+            raise ExperimentConfigError(f"unknown config section [{section}]")
+        for key in parser[section]:
+            if key not in keys[section]:
+                raise ExperimentConfigError(f"unknown key {key!r} in section [{section}]")
+    if "experiment" not in parser:
+        raise ExperimentConfigError("config file needs an [experiment] section")
+    built = {key: _read("experiment", key, raw, _EXPERIMENT_DEFAULTS[key])
+             for key, raw in parser["experiment"].items() if raw.strip()}
+    for section in _KIND_SECTIONS:
+        values = dict(parser[section]) if section in parser else {}
+        kind = values.pop("kind", next(iter(KINDS[section])))
+        if section == "env" and kind == "shot_noise":
+            built["kernel"] = build("kernel", values.pop("kernel", "bump"), values)
+        else:
+            built[section] = build(section, kind, values)
+    outputs = dict(parser["output"]) if "output" in parser else {}
+    return ExperimentConfig(**built), outputs
 
 
 def describe(obj) -> dict:
@@ -568,22 +631,20 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     ]
 
     passed = all(r.passed for r in rows) and all(f["passed"] for f in fdd)
+    # Every [experiment] key but ``workers``, on which no report value
+    # depends; tuples echo as JSON lists.
+    experiment = {key: getattr(cfg, key) for key in _EXPERIMENT_DEFAULTS if key != "workers"}
     config_echo = {
-        "theorem": cfg.theorem,
+        **experiment,
+        "u_grid": list(u_grid),
+        "fdd_pairs": [list(pair) for pair in cfg.fdd_pairs],
         "jump": describe(cfg.jump),
         "wait": describe(cfg.wait),
         "env": describe(cfg.env),
         "kernel": describe(cfg.kernel),
-        "t": cfg.t,
-        "u_grid": list(u_grid),
-        "replicates": cfg.replicates,
-        "limit_replicates": cfg.limit_replicates,
-        "master_seed": cfg.master_seed,
-        "ks_threshold": cfg.ks_threshold,
         "limit_method": "exact-regenerative",
         "env_window_points": path_env.config.count if cfg.theorem == "T5" else None,
         "f_integral_supplied": cfg.functional.f_integral,
-        "env_config_seed": cfg.env_config_seed,
     }
     runtime = time.perf_counter() - started
     return ComparisonReport(

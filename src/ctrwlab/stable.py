@@ -243,7 +243,8 @@ class Lattice:
         if not self.weights:
             raise DomainError("weight table must be nonempty")
         total = sum(p for _, p in self.weights)
-        if abs(total - 1.0) > 1e-9 or any(p <= 0.0 for _, p in self.weights):
+        # written so that a nan weight fails
+        if not (abs(total - 1.0) <= 1e-9 and all(p > 0.0 for _, p in self.weights)):
             raise DomainError("weights must be positive and sum to 1")
 
     has_density = False
@@ -295,13 +296,12 @@ class CalibrationResult:
     ks_distance: float
 
 
+_REF_FACTOR = 2  # the reference sample's size over the number of partial sums
+CALIBRATION_KS_THRESHOLD = 0.05
+
+
 def calibrate_sigma(
-    law: JumpLaw,
-    n: int,
-    n_replicates: int,
-    rng: RandomSource,
-    ref_factor: int = 2,
-    ks_threshold: float = 0.05,
+    law: JumpLaw, n: int, n_replicates: int, rng: RandomSource
 ) -> CalibrationResult:
     """Fit the scale sigma mapping the law onto the standard stable limit.
 
@@ -309,7 +309,7 @@ def calibrate_sigma(
     ``sigma n^(1/alpha)``, and minimizes the two-sample KS distance to an
     exact sample of the standard law ``(alpha_attr, beta_attr, c=1, a=0)``
     over sigma.  Raises ``CalibrationError`` if the optimum stays above
-    ``ks_threshold``.
+    ``CALIBRATION_KS_THRESHOLD``.
     """
     if n < 10 or n_replicates < 100:
         raise DomainError("calibration needs n >= 10 and n_replicates >= 100")
@@ -325,7 +325,7 @@ def calibrate_sigma(
         done += m
     normalized = sums / n ** (1.0 / alpha)
 
-    ref = sample_stable(StableParams(alpha, beta), rng, ref_factor * n_replicates)
+    ref = sample_stable(StableParams(alpha, beta), rng, _REF_FACTOR * n_replicates)
 
     spread = np.subtract(*np.percentile(normalized, [75, 25]))
     ref_spread = np.subtract(*np.percentile(ref, [75, 25]))
@@ -342,8 +342,8 @@ def calibrate_sigma(
         center = math.log(best_sigma)
         half_width /= 5.0
 
-    if best_ks > ks_threshold:
-        raise CalibrationError(best_ks, ks_threshold)
+    if best_ks > CALIBRATION_KS_THRESHOLD:
+        raise CalibrationError(best_ks, CALIBRATION_KS_THRESHOLD)
     return CalibrationResult(sigma=best_sigma, beta=beta, ks_distance=best_ks)
 
 

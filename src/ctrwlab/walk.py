@@ -271,19 +271,19 @@ def normalized_functional(
     return norm_constant(law, t) * additive_functional(path, spec, u_grid)
 
 
-def lattice_limit_constant(
-    law: Lattice,
-    f: Callable[[np.ndarray], np.ndarray],
-    tol: float = 1e-10,
-    n_start: int = 16,
-    n_cap: int = 2**22,
-) -> float:
+_LATTICE_TOL = 1e-10
+_LATTICE_N_START = 16
+LATTICE_N_CAP = 2**22
+
+
+def lattice_limit_constant(law: Lattice, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """b * sum over n of f(a + b n), the lattice replacement for the
     dx-integral in the limit law.
 
     The series is truncated symmetrically with doubling range until two
-    consecutive doublings change the partial sum by less than ``tol``
-    relatively; failure to stabilize raises ``DivergentSumError``.
+    consecutive doublings change the partial sum by less than
+    ``_LATTICE_TOL`` relatively; failure to stabilize within
+    ``LATTICE_N_CAP`` raises ``DivergentSumError``.
     """
     if not isinstance(law, Lattice):
         raise DomainError("lattice_limit_constant requires a Lattice jump law")
@@ -293,13 +293,13 @@ def lattice_limit_constant(
         ns = np.arange(-n, n + 1)
         return b * float(np.sum(f(a + b * ns)))
 
-    n = n_start
+    n = _LATTICE_N_START
     prev = partial(n)
     stable_rounds = 0
-    while n <= n_cap:
+    while n <= LATTICE_N_CAP:
         n *= 2
         cur = partial(n)
-        if abs(cur - prev) <= tol * (1.0 + abs(cur)):
+        if abs(cur - prev) <= _LATTICE_TOL * (1.0 + abs(cur)):
             stable_rounds += 1
             if stable_rounds >= 2:
                 return cur
@@ -307,7 +307,7 @@ def lattice_limit_constant(
             stable_rounds = 0
         prev = cur
     raise DivergentSumError(
-        f"lattice series did not stabilize within |n| <= {n_cap} "
+        f"lattice series did not stabilize within |n| <= {LATTICE_N_CAP} "
         f"(last partial sum {prev!r})"
     )
 

@@ -16,7 +16,14 @@ from ctrwlab import cli
 from ctrwlab.cli import load_experiment_config, main
 from ctrwlab.environment import periodic_env
 from ctrwlab.errors import ExperimentConfigError
-from ctrwlab.harness import KINDS, ExperimentConfig, build, describe
+from ctrwlab.harness import (
+    KINDS,
+    ExperimentConfig,
+    build,
+    describe,
+    report_json,
+    run_experiment,
+)
 from ctrwlab.levy import sample_local_time_exact
 from ctrwlab.rng import spawn_rng
 from ctrwlab.stable import SymmetricPareto
@@ -44,6 +51,26 @@ mean = 1.0
 
 [functional]
 kind = gauss_bump
+"""
+
+
+LATTICE_CONFIG = PASSING_CONFIG.replace("theorem = T2\n", "theorem = T2-lattice\n").replace(
+    "kind = gaussian\nvariance = 2.0", "kind = rademacher"
+)
+
+T5_CONFIG = """
+[experiment]
+theorem = T5
+t = 1000
+replicates = 100
+limit_replicates = 100
+
+[jump]
+kind = symmetric_pareto
+
+[env]
+kind = shot_noise
+kernel = bump
 """
 
 
@@ -568,6 +595,125 @@ class TestKindTable:
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert "takes no key" in result.output
+
+
+def _ini_value(value) -> str:
+    """An echoed value as INI text: None is left empty, a list is joined
+    the way its key is read (pairs by ";")."""
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        sep = ";" if value and isinstance(value[0], list) else ","
+        return sep.join(_ini_value(v) for v in value)
+    return str(value)
+
+
+def _echo_as_ini(echo: dict) -> str:
+    """A report's config echo written back as a config: its [experiment]
+    keys and its jump and wait sections."""
+    lines = ["[experiment]"]
+    lines += [f"{key} = {_ini_value(echo[key])}" for key in EXPERIMENT_DEFAULTS if key in echo]
+    for section in ("jump", "wait"):
+        lines += ["", f"[{section}]"] + [f"{k} = {v}" for k, v in echo[section].items()]
+    return "\n".join(lines) + "\n"
+
+
+def _strip_runtime(report_text: str) -> str:
+    return "\n".join(ln for ln in report_text.split("\n") if '"runtime_seconds"' not in ln)
+
+
+class TestConfigEcho:
+    # the functional takes its default kind: its echo is not an INI section
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PASSING_CONFIG.replace("u_grid = 0.5,1.0", "u_grid = 0.25,0.5,1.0\n"
+                                   "fdd_pairs = 0.25,0.5;0.5,1.0\nlabel = round trip"),
+            PASSING_CONFIG.replace("t = 1000", "t = 100\nallow_short_horizon = yes"),
+            LATTICE_CONFIG,
+        ],
+        ids=["t2-fdd", "t2-short-horizon", "t2-lattice"],
+    )
+    def test_report_echo_reruns_to_the_same_report(self, tmp_path, config):
+        first_path = tmp_path / "first.cfg"
+        first_path.write_text(config.replace("[functional]\nkind = gauss_bump\n", ""))
+        cfg, _ = load_experiment_config(first_path)
+        first = report_json(run_experiment(cfg))
+        echo_path = tmp_path / "echo.cfg"
+        echo_path.write_text(_echo_as_ini(json.loads(first)["config_echo"]))
+        cfg_again, _ = load_experiment_config(echo_path)
+        assert _strip_runtime(report_json(run_experiment(cfg_again))) == _strip_runtime(first)
+
+    def test_echo_carries_every_experiment_key_but_workers(self):
+        keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - set(KINDS)
+        cfg = ExperimentConfig(
+            jump=build("jump", "gaussian"), wait=build("wait", "exponential"),
+            functional=build("functional", "gauss_bump"), t=1000.0, replicates=100,
+            limit_replicates=100,
+        )
+        echo = run_experiment(cfg).config_echo
+        assert keys - {"workers"} <= set(echo)
+        assert "workers" not in echo
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "base, old, new, message",
+        [
+            (PASSING_CONFIG, "ks_threshold = 0.2", "ks_threshold = nan", "not finite"),
+            (PASSING_CONFIG, "variance = 2.0", "variance = inf", "not finite"),
+            (PASSING_CONFIG, "mean = 1.0", "mean = inf", "not finite"),
+            (PASSING_CONFIG, "kind = gauss_bump", "kind = box\nlo = -inf", "not finite"),
+            (PASSING_CONFIG.replace("T2", "T3"), "kind = gauss_bump",
+             "kind = gauss_bump\n\n[env]\nkind = periodic_inverse\namplitude = nan",
+             "not finite"),
+            (T5_CONFIG, "kernel = bump", "kernel = bump\namplitude = inf", "not finite"),
+            (T5_CONFIG, "kernel = bump", "kernel = power\ndecay_beta = 0",
+             "decay_beta and tail_tol must be positive"),
+            (LATTICE_CONFIG, "kind = rademacher", "kind = lattice\nweights = -1:nan,1:0.5",
+             "weights must be positive and sum to 1"),
+        ],
+        ids=["experiment", "jump", "wait", "functional", "env", "kernel-amplitude",
+             "kernel-decay", "lattice-weight"],
+    )
+    def test_bad_ini_value_exit_two(self, runner, tmp_path, base, old, new, message):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(base.replace(old, new))
+        result = runner.invoke(main, ["compare", "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert "config error: " in result.output and message in result.output
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["simulate", "--t", "20", "--jump-variance", "inf"], "not finite"),
+            (["simulate", "--t", "20", "--wait-mean", "nan"], "not finite"),
+            (["env", "--exp-moment", "--amplitude", "inf"], "not finite"),
+            (["env", "--exp-moment", "--kernel", "power", "--decay-beta", "0"],
+             "decay_beta and tail_tol must be positive"),
+        ],
+    )
+    def test_bad_flag_value_exit_two(self, runner, args, message):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [(t, True) for t in ("yes", "on", "1", "true", "True")]
+        + [(t, False) for t in ("no", "off", "0", "false")],
+    )
+    def test_bool_key_takes_the_ini_words(self, tmp_path, text, value):
+        cfg_path = tmp_path / "bool.cfg"
+        cfg_path.write_text(f"[experiment]\nallow_short_horizon = {text}\n")
+        cfg, _ = load_experiment_config(cfg_path)
+        assert cfg.allow_short_horizon is value
+
+    def test_bool_key_rejects_other_words(self, tmp_path):
+        cfg_path = tmp_path / "bool.cfg"
+        cfg_path.write_text("[experiment]\nallow_short_horizon = maybe\n")
+        with pytest.raises(ExperimentConfigError, match="allow_short_horizon 'maybe': not a"):
+            load_experiment_config(cfg_path)
 
 
 # Imports the CLI, then runs tiny T2, T3 and T5 comparisons, each needing a

@@ -89,6 +89,20 @@ class TestKernel:
         k = power_kernel(0.5, 3.0, tail_tol=1e-6)
         assert k.tail_bound <= 1e-6 * (1.0 + 1e-9)
 
+    @pytest.mark.parametrize(
+        "decay_beta, tail_tol, message",
+        [
+            (0.0, 1e-6, "must be positive"),
+            (math.nan, 1e-6, "must be positive"),
+            (3.0, 0.0, "must be positive"),
+            (1e-300, 1e-6, "cutoff overflows"),
+            (1e-200, 1e-200, "cutoff overflows"),
+        ],
+    )
+    def test_power_kernel_bad_decay_or_tolerance(self, decay_beta, tail_tol, message):
+        with pytest.raises(DomainError, match=message):
+            power_kernel(0.5, decay_beta, tail_tol=tail_tol)
+
     def test_bump_kernel_exact_truncation(self):
         assert bump_kernel(0.5).tail_bound == 0.0
 

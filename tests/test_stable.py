@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctrwlab import stable
 from ctrwlab.errors import CalibrationError, DomainError
 from ctrwlab.rng import spawn_rng
 from ctrwlab.stable import (
@@ -129,6 +130,15 @@ class TestJumpLaws:
         samples = law.sample(spawn_rng(SEED, "lat2"), 10_000)
         assert set(np.unique(samples)) == {-1.0, 1.0}  # shifted by the mean
 
+    @pytest.mark.parametrize(
+        "weights",
+        [((-1, math.nan), (1, 0.5)), ((-1, math.inf), (1, 0.5)), ((-1, 0.6), (1, 0.5))],
+        ids=["nan", "inf", "sum"],
+    )
+    def test_lattice_rejects_bad_weights(self, weights):
+        with pytest.raises(DomainError, match="weights must be positive and sum to 1"):
+            Lattice(a=0.0, b=1.0, weights=weights)
+
     def test_skewed_pareto_centered(self):
         law = SkewedPareto(1.5, 1.0, p_right=0.8)
         assert law.beta_attr == pytest.approx(-0.6)
@@ -194,11 +204,10 @@ class TestCalibrateSigma:
         assert SymmetricPareto(1.5).sigma_attr == pytest.approx(analytic, rel=1e-12)
         assert ra.sigma == pytest.approx(analytic, rel=0.05)
 
-    def test_nonconvergent_fit_raises(self):
+    def test_nonconvergent_fit_raises(self, monkeypatch):
+        monkeypatch.setattr(stable, "CALIBRATION_KS_THRESHOLD", 1e-6)
         with pytest.raises(CalibrationError) as info:
-            calibrate_sigma(
-                Gaussian(1.0), 200, 2000, spawn_rng(SEED, "bad"), ks_threshold=1e-6
-            )
+            calibrate_sigma(Gaussian(1.0), 200, 2000, spawn_rng(SEED, "bad"))
         assert info.value.achieved_ks > 1e-6
 
     def test_result_is_frozen_record(self):

@@ -373,10 +373,11 @@ class TestLatticeLimitConstant:
         f = lambda x: ((x >= 0.0) & (x < 1.0)).astype(float)
         assert lattice_limit_constant(law, f) == pytest.approx(1.0)
 
-    def test_divergent_sum_detected(self):
+    def test_divergent_sum_detected(self, monkeypatch):
+        monkeypatch.setattr(walk, "LATTICE_N_CAP", 2**12)
         f = lambda x: np.ones_like(np.asarray(x, dtype=float))
         with pytest.raises(DivergentSumError):
-            lattice_limit_constant(rademacher(), f, n_cap=2**12)
+            lattice_limit_constant(rademacher(), f)
 
     def test_requires_lattice_law(self):
         with pytest.raises(DomainError):

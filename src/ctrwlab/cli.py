@@ -190,6 +190,8 @@ def cmd_env(check_b3, exp_moment, n_list, moment_a, kernel_kind, seed, out,
     if check_b3 == exp_moment:
         raise click.UsageError("choose one of --check-b3 or --exp-moment")
     kernel = _build_from_flags("kernel", kernel_kind, kernel_flags)
+    if not np.isfinite(moment_a):
+        raise click.UsageError(f"--a must be finite, got {moment_a}")
     if not exp_moment:
         try:
             ns = sorted(int(x) for x in n_list.split(","))

@@ -126,8 +126,12 @@ class ExperimentConfig:
                     "T2 requires a jump law with an absolutely continuous "
                     "component; use T2-lattice for lattice jumps"
                 )
-        if self.theorem == "T2-lattice" and not isinstance(self.jump, Lattice):
-            problems.append("T2-lattice requires a Lattice jump law")
+        if self.theorem == "T2-lattice":
+            if not isinstance(self.jump, Lattice):
+                problems.append("T2-lattice requires a Lattice jump law")
+            elif not self.jump.generates_lattice:
+                problems.append("T2-lattice requires centred jumps that generate bZ "
+                                "(integer multiples of b with gcd 1)")
         if self.theorem in ("T3", "T5"):
             if not self.jump.alpha_attr < 2.0:
                 problems.append(

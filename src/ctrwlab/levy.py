@@ -153,8 +153,8 @@ def sample_local_time_exact(
     """
     u1 = local_time_constant(alpha, beta)
     grid = np.atleast_1d(np.asarray(u_grid, dtype=float)).tolist()
-    if any(not b >= a for a, b in zip([0.0] + grid, grid)):
-        raise DomainError("u_grid must be nonnegative and nondecreasing")
+    if any(not a <= b < math.inf for a, b in zip([0.0] + grid, grid)):
+        raise DomainError("u_grid must be finite, nonnegative and nondecreasing")
     gamma = 1.0 - 1.0 / alpha
     rest = 1.0 - gamma
     bound = gamma**-gamma * rest**-rest

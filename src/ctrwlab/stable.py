@@ -49,8 +49,8 @@ class StableParams:
             raise DomainError(f"alpha must be in (1, 2], got {self.alpha}")
         if not -1.0 <= self.beta <= 1.0:
             raise DomainError(f"beta must be in [-1, 1], got {self.beta}")
-        if not self.scale_c > 0.0:
-            raise DomainError(f"scale_c must be positive, got {self.scale_c}")
+        if not 0.0 < self.scale_c < math.inf:
+            raise DomainError(f"scale_c must be positive and finite, got {self.scale_c}")
         if not math.isfinite(self.location_a):
             raise DomainError(f"location_a must be finite, got {self.location_a}")
 
@@ -246,6 +246,8 @@ class Lattice:
         # written so that a nan weight fails
         if not (abs(total - 1.0) <= 1e-9 and all(p > 0.0 for _, p in self.weights)):
             raise DomainError("weights must be positive and sum to 1")
+        if len({n for n, _ in self.weights}) < 2:
+            raise DomainError("weights must put mass on at least two distinct sites")
 
     has_density = False
 
@@ -266,6 +268,18 @@ class Lattice:
     @property
     def sigma_attr(self) -> float:
         return math.sqrt(self.variance / 2.0)
+
+    @property
+    def generates_lattice(self) -> bool:
+        """Whether the centred jumps ``offset + b n`` are integer multiples of
+        ``b`` with gcd 1, so that the walk lives on exactly bZ."""
+        # offset / b is -sum n p; the weights sum to 1 only within 1e-9, so it
+        # is an integer only to that tolerance per unit of |n|
+        shift = -sum(n * p for n, p in self.weights)
+        k = round(shift)
+        if abs(shift - k) > 1e-9 * (1 + max(abs(n) for n, _ in self.weights)):
+            return False
+        return math.gcd(*(k + n for n, _ in self.weights)) == 1
 
     def sample(self, rng: RandomSource, size):
         values = np.array([self.offset + self.b * k for k, _ in self.weights])

@@ -283,10 +283,14 @@ def lattice_limit_constant(law: Lattice, f: Callable[[np.ndarray], np.ndarray]) 
     The series is truncated symmetrically with doubling range until two
     consecutive doublings change the partial sum by less than
     ``_LATTICE_TOL`` relatively; failure to stabilize within
-    ``LATTICE_N_CAP`` raises ``DivergentSumError``.
+    ``LATTICE_N_CAP`` raises ``DivergentSumError``.  A law whose walk does
+    not live on exactly bZ raises ``DomainError``.
     """
     if not isinstance(law, Lattice):
         raise DomainError("lattice_limit_constant requires a Lattice jump law")
+    if not law.generates_lattice:
+        raise DomainError("the centred lattice jumps must generate bZ "
+                          "(integer multiples of b with gcd 1)")
     a, b = law.offset, law.b
 
     def partial(n: int) -> float:

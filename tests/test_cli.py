@@ -541,6 +541,26 @@ LAW_KINDS = [(section, kind) for section in ("jump", "wait") for kind in KINDS[s
 
 
 class TestKindTable:
+    def test_readme_kind_table_matches_the_kind_table(self):
+        # every section, kind, key and default; `kernel = k` rows are the
+        # kernel kinds that `[env] kind = shot_noise` takes
+        text = README.read_text()
+        table = text[text.index("| section | kind | keys (default) |"):].split("\n\n")[0]
+        documented, section = {}, None
+        for cells in re.findall(r"^\|(.*?)\|(.*?)\|(.*)\|$", table, re.M)[2:]:
+            section = re.fullmatch(r" `\[(\w+)\]` | ", cells[0]).group(1) or section
+            kernel, kind = re.match(r" `kernel = (\w+)`| `(\w+)`", cells[1]).groups()
+            keys = re.findall(r"`(\w+)` \((`[^`]*`|[^,)]*)", cells[2])
+            documented["kernel" if kernel else section, kernel or kind] = {
+                key: default.strip("`") for key, default in keys
+            }
+        expected = {
+            (section, kind): {key: str(default) for key, default in defaults.items()}
+            for section, kinds in KINDS.items() for kind, (_, defaults) in kinds.items()
+        }
+        expected["env", "shot_noise"] = {"kernel": next(iter(KINDS["kernel"]))}
+        assert documented == expected
+
     @pytest.mark.parametrize("section, kind", LAW_KINDS)
     def test_echo_loads_back_to_the_same_law(self, tmp_path, section, kind):
         law = build(section, kind)
@@ -672,9 +692,16 @@ class TestTypedErrors:
              "decay_beta and tail_tol must be positive"),
             (LATTICE_CONFIG, "kind = rademacher", "kind = lattice\nweights = -1:nan,1:0.5",
              "weights must be positive and sum to 1"),
+            (LATTICE_CONFIG, "kind = rademacher", "kind = lattice\nweights = 0:1.0",
+             "at least two distinct sites"),
+            (LATTICE_CONFIG, "kind = rademacher", "kind = lattice\nweights = 1:0.5,1:0.5",
+             "at least two distinct sites"),
+            (LATTICE_CONFIG, "kind = rademacher", "kind = lattice\nweights = 0:0.5,1:0.5",
+             "centred jumps that generate bZ"),
         ],
         ids=["experiment", "jump", "wait", "functional", "env", "kernel-amplitude",
-             "kernel-decay", "lattice-weight"],
+             "kernel-decay", "lattice-weight", "lattice-one-site", "lattice-site-twice",
+             "lattice-off-bZ"],
     )
     def test_bad_ini_value_exit_two(self, runner, tmp_path, base, old, new, message):
         cfg_path = tmp_path / "bad.cfg"
@@ -691,12 +718,17 @@ class TestTypedErrors:
             (["env", "--exp-moment", "--amplitude", "inf"], "not finite"),
             (["env", "--exp-moment", "--kernel", "power", "--decay-beta", "0"],
              "decay_beta and tail_tol must be positive"),
+            (["sample-stable", "--alpha", "1.5", "--scale", "inf"], "scale_c must be positive"),
+            (["local-time", "--alpha", "1.5", "--u-grid", "0.5,inf"], "u_grid must be finite"),
+            (["env", "--exp-moment", "--a", "nan"], "--a must be finite"),
+            (["env", "--exp-moment", "--a", "inf"], "--a must be finite"),
         ],
     )
     def test_bad_flag_value_exit_two(self, runner, args, message):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert message in result.output
+        assert result.output.startswith("Usage:")  # nothing written before the error
 
     @pytest.mark.parametrize(
         "text, value",

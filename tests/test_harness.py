@@ -111,10 +111,10 @@ class TestWasserstein1:
     def test_hand_sorted_average(self):
         assert wasserstein1([0.0, 1.0], [0.0, 3.0]) == pytest.approx(1.0)
 
-    def test_unequal_sizes_quantile_matching(self):
-        d = wasserstein1([0.0, 1.0], [0.0, 0.5, 1.0])
-        assert d >= 0.0
-        assert d < 0.5
+    def test_unequal_sizes_exact_oracle(self):
+        # ECDFs 1/2 against 1/3 on [0, 1/2) and against 2/3 on [1/2, 1)
+        assert wasserstein1([0.0, 1.0], [0.0, 0.5, 1.0]) == pytest.approx(1 / 6, abs=1e-15)
+        assert wasserstein1([0.0, 1.0], [0.0, 0.0, 1.0, 1.0]) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -128,6 +128,35 @@ class TestWasserstein1:
     def test_shift_equivariance(self, a, shift):
         a = np.asarray(a)
         assert wasserstein1(a, a + shift) == pytest.approx(abs(shift), abs=1e-9)
+
+    @given(
+        st.lists(st.floats(-50, 50), min_size=1, max_size=40),
+        st.lists(st.floats(-50, 50), min_size=1, max_size=40),
+        st.integers(2, 5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_replicated_sample_has_the_same_distance(self, a, b, k):
+        d = wasserstein1(a, b)
+        assert wasserstein1(np.tile(a, k), b) == pytest.approx(d, rel=1e-12, abs=1e-12)
+
+    @given(
+        st.lists(st.floats(-50, 50), min_size=1, max_size=40),
+        st.lists(st.floats(-50, 50), min_size=1, max_size=40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_symmetric(self, a, b):
+        assert wasserstein1(a, b) == wasserstein1(b, a)
+
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(*[st.lists(st.floats(-50, 50), min_size=n, max_size=n)] * 2)
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equal_sizes_match_sorted_pairs(self, pair):
+        a, b = np.sort(pair[0]), np.sort(pair[1])
+        expected = float(np.mean(np.abs(a - b)))
+        assert wasserstein1(a, b) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestValidation:

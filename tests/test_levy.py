@@ -212,7 +212,7 @@ class TestExactLocalTime:
         assert np.array_equal(a, b)
 
     def test_bad_grid_rejected(self):
-        for u in ([0.5, 0.25], [-0.1, 1.0], [float("nan")]):
+        for u in ([0.5, 0.25], [-0.1, 1.0], [float("nan")], [0.5, float("inf")]):
             with pytest.raises(DomainError):
                 sample_local_time_exact(1.5, 0.0, u, spawn_rng(SEED))
         with pytest.raises(DomainError):

@@ -67,7 +67,7 @@ class TestStableChf:
 
     @pytest.mark.parametrize(
         "alpha,beta,c", [(0.5, 0.0, 1.0), (1.0, 0.0, 1.0), (2.1, 0.0, 1.0),
-                         (1.5, 1.5, 1.0), (1.5, 0.0, 0.0)]
+                         (1.5, 1.5, 1.0), (1.5, 0.0, 0.0), (1.5, 0.0, math.inf)]
     )
     def test_invalid_params_rejected(self, alpha, beta, c):
         with pytest.raises(DomainError):
@@ -138,6 +138,26 @@ class TestJumpLaws:
     def test_lattice_rejects_bad_weights(self, weights):
         with pytest.raises(DomainError, match="weights must be positive and sum to 1"):
             Lattice(a=0.0, b=1.0, weights=weights)
+
+    @pytest.mark.parametrize("weights", [((0, 1.0),), ((1, 0.5), (1, 0.5))])
+    def test_lattice_rejects_a_single_site(self, weights):
+        with pytest.raises(DomainError, match="at least two distinct sites"):
+            Lattice(a=0.0, b=1.0, weights=weights)
+
+    @pytest.mark.parametrize(
+        "b, weights, generates",
+        [
+            (1.0, ((-1, 0.5), (1, 0.5)), True),
+            (1.0, ((0, 0.5), (2, 0.5)), True),  # centred to -1, 1
+            (0.5, ((-1, 0.5), (1, 0.5)), True),
+            (1.0, ((0, 1 / 3), (1, 1 / 3), (2, 1 / 3)), True),
+            (1.0, ((0, 0.5), (1, 0.5)), False),  # centred to -1/2, 1/2
+            (1.0, ((-2, 0.5), (2, 0.5)), False),  # gcd 2
+            (1.0, ((-1, 0.25), (1, 0.5), (3, 0.25)), False),  # centred to -2, 0, 2
+        ],
+    )
+    def test_lattice_generates_bz(self, b, weights, generates):
+        assert Lattice(a=0.0, b=b, weights=weights).generates_lattice is generates
 
     def test_skewed_pareto_centered(self):
         law = SkewedPareto(1.5, 1.0, p_right=0.8)

@@ -383,6 +383,11 @@ class TestLatticeLimitConstant:
         with pytest.raises(DomainError):
             lattice_limit_constant(Gaussian(1.0), lambda x: x)
 
+    def test_requires_jumps_that_generate_bz(self):
+        law = Lattice(a=0.0, b=1.0, weights=((0, 0.5), (1, 0.5)))
+        with pytest.raises(DomainError, match="generate bZ"):
+            lattice_limit_constant(law, lambda x: np.ones_like(x))
+
 
 class TestSkeletonIO:
     def test_round_trip(self, tmp_path):

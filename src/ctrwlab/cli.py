@@ -22,7 +22,7 @@ from .environment import (
     sup_growth_check,
 )
 from .errors import CtrwLabError, DomainError, ExperimentConfigError, ReportIOError
-from .harness import KINDS, build, emit_report, load_experiment_config, run_experiment
+from .harness import KINDS, build, emit_report, kind_keys, load_experiment_config, run_experiment
 from .levy import sample_local_time_exact
 from .rng import spawn_rng
 from .stable import StableParams, sample_stable
@@ -81,11 +81,11 @@ def cmd_sample_stable(alpha, beta, scale, loc, n, seed, out):
 
 def _kind_option(flag, section, key):
     """A flag setting ``key`` of the chosen ``section`` kind: left unset it
-    takes the kind table's default, and a kind without ``key`` rejects it."""
-    takers = {kind: d[key] for kind, (_, d) in KINDS[section].items() if key in d}
+    takes the kind's default, and a kind without ``key`` rejects it."""
+    takers = [kind for kind in KINDS[section] if key in kind_keys(section, kind)]
     return click.option(flag, f"{section}__{key}", type=float, default=None,
                         help=f"Only for {' or '.join(takers)}.  "
-                        f"[default: {next(iter(takers.values()))}]")
+                        f"[default: {kind_keys(section, takers[0])[key]}]")
 
 
 def _build_from_flags(section, kind, flags):

@@ -9,8 +9,8 @@ not positive and finite.  A shot-noise environment is
 phi(x - y)`` for a nonnegative kernel ``phi`` bounded by
 ``C / (1 + |x|^(1+beta))``.  Evaluation truncates the sum to
 ``|x - y| <= cutoff_r``; the expected mass dropped is at most
-``2 C cutoff_r^(-beta) / beta`` per unit intensity, and the default cutoffs
-keep that below 1e-6.  Every read of the configuration goes through
+``2 C cutoff_r^(-beta) / beta`` per unit intensity, below ``POWER_TAIL_TOL``
+for the power kernel.  Every read of the configuration goes through
 ``ShotNoiseEnv.points_near``, which checks the window.
 """
 
@@ -63,15 +63,18 @@ class Kernel:
         return 2.0 * self.bound_c * self.cutoff_r**-self.decay_beta / self.decay_beta
 
 
-def power_kernel(
-    amplitude: float = 0.5, decay_beta: float = 3.0, tail_tol: float = 1e-6
-) -> Kernel:
+# tail_tol: the power kernel's cutoff keeps its truncation bound below this.
+POWER_TAIL_TOL = 1e-6
+
+
+def power_kernel(amplitude: float = math.log(2.0), decay_beta: float = 3.0) -> Kernel:
     """phi(x) = A / (1 + |x|^(1+beta)), cutoff sized so the truncation
-    bound stays below ``tail_tol``."""
-    if not (decay_beta > 0.0 and tail_tol > 0.0):
-        raise DomainError(f"decay_beta and tail_tol must be positive: {decay_beta}, {tail_tol}")
+    bound stays below ``POWER_TAIL_TOL``."""
+    if not (decay_beta > 0.0 and POWER_TAIL_TOL > 0.0):
+        raise DomainError(f"decay_beta and tail_tol must be positive: {decay_beta}, "
+                          f"{POWER_TAIL_TOL}")
     try:
-        cutoff = (2.0 * amplitude / (decay_beta * tail_tol)) ** (1.0 / decay_beta)
+        cutoff = (2.0 * amplitude / (decay_beta * POWER_TAIL_TOL)) ** (1.0 / decay_beta)
     except (OverflowError, ZeroDivisionError):
         cutoff = math.inf
     if cutoff == math.inf:

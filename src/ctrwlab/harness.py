@@ -12,6 +12,7 @@ the master seed and k alone, so reports are identical for any worker count.
 from __future__ import annotations
 
 import configparser
+import inspect
 import json
 import math
 import time
@@ -160,7 +161,7 @@ def _indicator_zero() -> FunctionalSpec:
     return FunctionalSpec(f=lambda x: (np.abs(x) < 1e-9).astype(float))
 
 
-def _box(lo: float, hi: float) -> FunctionalSpec:
+def _box(lo: float = -0.5, hi: float = 0.5) -> FunctionalSpec:
     if lo >= hi:
         raise ExperimentConfigError("box functional needs lo < hi")
     return FunctionalSpec(
@@ -187,41 +188,48 @@ def _parse_pairs(text: str) -> tuple:
     return tuple((a, b) for a, b in pairs)
 
 
-# The kind table: section -> kind -> (constructor, {key: default}).  The
-# first kind of a section is its default, and a kind takes exactly its keys.
-# For jump and wait laws the keys are the dataclass fields, so ``describe``
-# reads a law back into the INI section that builds it.  An INI
-# ``[env] kind = shot_noise`` section builds a ``kernel`` kind instead.
+# The kind table: section -> kind -> constructor.  The first kind of a
+# section is its default, and a kind's INI keys and their defaults are its
+# constructor's parameters (``kind_keys``).  For jump and wait laws those
+# are the dataclass fields, so ``describe`` reads a law back into the INI
+# section that builds it.  An INI ``[env] kind = shot_noise`` section
+# builds a ``kernel`` kind instead.
 KINDS = {
     "jump": {
-        "gaussian": (Gaussian, {"variance": 1.0}),
-        "symmetric_pareto": (SymmetricPareto, {"alpha": 1.5, "x_min": 1.0}),
-        "skewed_pareto": (SkewedPareto, {"alpha": 1.5, "x_min": 1.0, "p_right": 0.5}),
-        "rademacher": (rademacher, {}),
-        "lattice": (Lattice, {"a": 0.0, "b": 1.0, "weights": "-1:0.5,1:0.5"}),
+        "gaussian": Gaussian,
+        "symmetric_pareto": SymmetricPareto,
+        "skewed_pareto": SkewedPareto,
+        "rademacher": rademacher,
+        "lattice": Lattice,
     },
     "wait": {
-        "exponential": (Exponential, {"mean": 1.0}),
-        "pareto": (ParetoWait, {"index": 2.0, "x_min": 0.5}),
-        "gamma": (GammaWait, {"shape": 1.0, "scale": 1.0}),
-        "deterministic": (DeterministicWait, {"mean": 1.0}),
+        "exponential": Exponential,
+        "pareto": ParetoWait,
+        "gamma": GammaWait,
+        "deterministic": DeterministicWait,
     },
     "functional": {
-        "gauss_bump": (_gauss_bump, {}),
-        "indicator_zero": (_indicator_zero, {}),
-        "box": (_box, {"lo": -0.5, "hi": 0.5}),
+        "gauss_bump": _gauss_bump,
+        "indicator_zero": _indicator_zero,
+        "box": _box,
     },
     "env": {
-        "none": (lambda: None, {}),
-        "periodic_inverse": (
-            periodic_env, {"mean_level": 2.0, "amplitude": 1.0, "frequency": 1.0}
-        ),
+        "none": lambda: None,
+        "periodic_inverse": periodic_env,
     },
     "kernel": {
-        "bump": (bump_kernel, {"amplitude": math.log(2.0)}),
-        "power": (power_kernel, {"amplitude": math.log(2.0), "decay_beta": 3.0}),
+        "bump": bump_kernel,
+        "power": power_kernel,
     },
 }
+
+
+def kind_keys(section: str, kind: str) -> dict:
+    """The INI keys of ``kind`` with their defaults: its constructor's
+    parameters."""
+    params = inspect.signature(KINDS[section][kind]).parameters.values()
+    return {p.name: p.default for p in params}
+
 
 # Keys whose INI text is not read by the type of their default.
 _PARSE = {
@@ -257,10 +265,10 @@ def _read(section: str, key: str, raw, default):
 
 def build(section: str, kind: str, values=None):
     """The ``kind`` object of ``section`` from INI-style ``{key: value}``;
-    keys left out take the table's defaults."""
+    keys left out take the constructor's defaults."""
     if kind not in KINDS[section]:
         raise ExperimentConfigError(f"unknown {section} kind {kind!r}")
-    make, defaults = KINDS[section][kind]
+    defaults = kind_keys(section, kind)
     values = dict(values or {})
     for key in values:
         if key not in defaults:
@@ -268,9 +276,8 @@ def build(section: str, kind: str, values=None):
                 f"{section} kind {kind!r} takes no key {key!r}"
                 f" (its keys: {', '.join(defaults) or 'none'})"
             )
-    return make(**{
-        key: _read(section, key, values.get(key, default), default)
-        for key, default in defaults.items()
+    return KINDS[section][kind](**{
+        key: _read(section, key, raw, defaults[key]) for key, raw in values.items()
     })
 
 
@@ -334,12 +341,13 @@ def describe(obj) -> dict:
     if isinstance(obj, Kernel):
         return {"kind": "kernel", "name": obj.name, "bound_c": obj.bound_c,
                 "decay_beta": obj.decay_beta, "cutoff_r": obj.cutoff_r}
-    for kinds in KINDS.values():
-        for kind, (make, defaults) in kinds.items():
+    for section, kinds in KINDS.items():
+        for kind, make in kinds.items():
             if make is type(obj):
                 return {
                     "kind": kind,
-                    **{k: _FORMAT.get(k, lambda v: v)(getattr(obj, k)) for k in defaults},
+                    **{k: _FORMAT.get(k, lambda v: v)(getattr(obj, k))
+                       for k in kind_keys(section, kind)},
                 }
     return {"kind": type(obj).__name__}
 
@@ -571,9 +579,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     thm5_factor = env_constant if cfg.theorem == "T5" else None
 
     spec = cfg.functional
-    if spec.f_integral is not None:
-        f_integral = spec.f_integral
-    elif cfg.theorem == "T2-lattice":
+    if cfg.theorem == "T2-lattice":
         f_integral = lattice_limit_constant(cfg.jump, spec.f)
     elif cfg.theorem == "T5":
         f_integral = quenched_integral(spec.f, path_env, spec.breakpoints)
@@ -648,7 +654,6 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         "kernel": describe(cfg.kernel),
         "limit_method": "exact-regenerative",
         "env_window_points": path_env.config.count if cfg.theorem == "T5" else None,
-        "f_integral_supplied": cfg.functional.f_integral,
     }
     runtime = time.perf_counter() - started
     return ComparisonReport(

@@ -119,7 +119,7 @@ class SymmetricPareto:
     """Centered symmetric law with density (alpha/2) x_min^alpha |x|^(-alpha-1)
     on |x| >= x_min; exact power tail P(|xi| > x) = (x/x_min)^(-alpha)."""
 
-    alpha: float
+    alpha: float = 1.5
     x_min: float = 1.0
 
     def __post_init__(self):
@@ -160,7 +160,7 @@ class SkewedPareto:
     """Two-sided Pareto putting mass p_right on the positive branch, centered
     by an explicit shift."""
 
-    alpha: float
+    alpha: float = 1.5
     x_min: float = 1.0
     p_right: float = 0.5
 
@@ -193,7 +193,8 @@ class SkewedPareto:
     @property
     def beta_attr(self) -> float:
         # tail-weight asymmetry p - q, negated into our chf convention
-        return -(2.0 * self.p_right - 1.0)
+        # (so +0.0 at p = 1/2)
+        return 1.0 - 2.0 * self.p_right
 
     def sample(self, rng: RandomSource, size):
         magnitude = self.x_min * rng.random(size) ** (-1.0 / self.alpha)
@@ -205,7 +206,7 @@ class SkewedPareto:
 class Gaussian:
     """Centered normal jumps; normal attraction to the alpha=2 standard law."""
 
-    variance: float
+    variance: float = 1.0
 
     def __post_init__(self):
         if not self.variance > 0.0:
@@ -226,16 +227,12 @@ class Gaussian:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Jumps supported on a + b*Z with a finite weight table.
+    """Jumps ``offset + b n`` with probability p for each pair (n, p) of the
+    weight table; ``offset`` = -b sum n p centres the law exactly.  The
+    default is the +/-1 fair coin."""
 
-    The offset is shifted at construction so the law is exactly centered;
-    ``a`` retains the supplied value for the lattice geometry, ``offset``
-    is the centered version actually sampled from.
-    """
-
-    a: float
-    b: float
-    weights: tuple[tuple[int, float], ...]
+    b: float = 1.0
+    weights: tuple[tuple[int, float], ...] = ((-1, 0.5), (1, 0.5))
 
     def __post_init__(self):
         if not self.b > 0.0:
@@ -253,8 +250,7 @@ class Lattice:
 
     @property
     def offset(self) -> float:
-        mean = self.a + self.b * sum(n * p for n, p in self.weights)
-        return self.a - mean
+        return -self.b * sum(n * p for n, p in self.weights)
 
     @property
     def variance(self) -> float:
@@ -290,7 +286,7 @@ class Lattice:
 
 def rademacher() -> Lattice:
     """The +/-1 fair-coin jump law."""
-    return Lattice(a=0.0, b=1.0, weights=((-1, 0.5), (1, 0.5)))
+    return Lattice()
 
 
 JumpLaw = Union[SymmetricPareto, SkewedPareto, Gaussian, Lattice]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -48,8 +48,8 @@ class Exponential:
 class ParetoWait:
     """Positive Pareto waits; integrable only for index > 1."""
 
-    index: float
-    x_min: float = 1.0
+    index: float = 2.0
+    x_min: float = 0.5
 
     def __post_init__(self):
         if not self.index > 1.0:
@@ -69,7 +69,7 @@ class ParetoWait:
 
 @dataclass(frozen=True)
 class GammaWait:
-    shape: float
+    shape: float = 1.0
     scale: float = 1.0
 
     def __post_init__(self):
@@ -86,7 +86,7 @@ class GammaWait:
 
 @dataclass(frozen=True)
 class DeterministicWait:
-    mean: float
+    mean: float = 1.0
 
     def __post_init__(self):
         if not self.mean > 0.0:
@@ -220,21 +220,12 @@ def position_at(path: PathSkeleton, s: float) -> float:
 class FunctionalSpec:
     """The integrand of the additive functional integral_0^(t u) f(X_s) ds.
 
-    ``f_integral`` is the constant replacing the integral in the limit law
-    (dx-integral of f, of f/Lambda under an environment, or the lattice
-    sum); a supplied value is taken on every theorem, and None leaves it to
-    the harness.
     ``breakpoints`` are the points where ``f`` jumps or kinks; the
-    quadrature filling in ``f_integral`` splits there.
+    quadrature of the limit law's constant splits there.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
-    f_integral: Optional[float] = None
     breakpoints: tuple = ()
-
-    def __post_init__(self):
-        if self.f_integral is not None and not math.isfinite(self.f_integral):
-            raise DomainError("f_integral must be finite when supplied")
 
 
 def additive_functional(
@@ -277,8 +268,9 @@ LATTICE_N_CAP = 2**22
 
 
 def lattice_limit_constant(law: Lattice, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """b * sum over n of f(a + b n), the lattice replacement for the
-    dx-integral in the limit law.
+    """b * sum over n of f(b n), the lattice replacement for the
+    dx-integral in the limit law: the centred jumps generate bZ, so the
+    walk's sites are exactly bZ.
 
     The series is truncated symmetrically with doubling range until two
     consecutive doublings change the partial sum by less than

@@ -46,7 +46,7 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 
 
 def gauss_bump():
-    return FunctionalSpec(f=lambda x: np.exp(-(x**2)), f_integral=math.sqrt(math.pi))
+    return FunctionalSpec(f=lambda x: np.exp(-(x**2)))
 
 
 def test_01_sampler_fidelity():
@@ -140,9 +140,7 @@ def test_04_lattice_remark():
         theorem="T2-lattice",
         jump=rademacher(),
         wait=Exponential(1.0),
-        functional=FunctionalSpec(
-            f=lambda x: (np.abs(x) < 1e-9).astype(float), f_integral=None
-        ),
+        functional=FunctionalSpec(f=lambda x: (np.abs(x) < 1e-9).astype(float)),
         t=1e4,
         replicates=2000,
         limit_replicates=2000,
@@ -184,7 +182,7 @@ def test_05_jump_rate_in_periodic_environment():
 def test_06_exponential_moment_formula():
     started = time.perf_counter()
     results = []
-    for kernel in [bump_kernel(), power_kernel()]:
+    for kernel in [bump_kernel(), power_kernel(0.5)]:
         analytic = mean_lambda_inv_analytic(kernel, 1.0)
         mc, se = mc_mean_lambda_inv(kernel, 10**4, spawn_rng(SEED, "acc6", kernel.name))
         results.append(
@@ -196,7 +194,7 @@ def test_06_exponential_moment_formula():
         "6 exponential moment",
         ok and elapsed < 120.0,
         f"analytic vs MC over 1e4 fresh configs within 3 SE and 1% for both "
-        f"default kernels ({', '.join(n for n, _, _ in results)}) in {elapsed:.1f}s < 120s",
+        f"kernels ({', '.join(n for n, _, _ in results)}) in {elapsed:.1f}s < 120s",
     )
 
 

@@ -17,10 +17,12 @@ from ctrwlab.cli import load_experiment_config, main
 from ctrwlab.environment import periodic_env
 from ctrwlab.errors import ExperimentConfigError
 from ctrwlab.harness import (
+    _FORMAT,
     KINDS,
     ExperimentConfig,
     build,
     describe,
+    kind_keys,
     report_json,
     run_experiment,
 )
@@ -539,6 +541,19 @@ class TestConfigParsing:
 
 LAW_KINDS = [(section, kind) for section in ("jump", "wait") for kind in KINDS[section]]
 
+# INI values other than the defaults for every key of every law kind.
+OFF_DEFAULT = {
+    ("jump", "gaussian"): {"variance": "2.5"},
+    ("jump", "symmetric_pareto"): {"alpha": "1.2", "x_min": "0.5"},
+    ("jump", "skewed_pareto"): {"alpha": "1.7", "x_min": "2", "p_right": "0.8"},
+    ("jump", "rademacher"): {},
+    ("jump", "lattice"): {"b": "0.5", "weights": "0:0.5,2:0.5"},
+    ("wait", "exponential"): {"mean": "2.5"},
+    ("wait", "pareto"): {"index": "3", "x_min": "1.5"},
+    ("wait", "gamma"): {"shape": "2.5", "scale": "0.4"},
+    ("wait", "deterministic"): {"mean": "0.3"},
+}
+
 
 class TestKindTable:
     def test_readme_kind_table_matches_the_kind_table(self):
@@ -555,20 +570,28 @@ class TestKindTable:
                 key: default.strip("`") for key, default in keys
             }
         expected = {
-            (section, kind): {key: str(default) for key, default in defaults.items()}
-            for section, kinds in KINDS.items() for kind, (_, defaults) in kinds.items()
+            (section, kind): {
+                key: _FORMAT.get(key, str)(default)
+                for key, default in kind_keys(section, kind).items()
+            }
+            for section, kinds in KINDS.items() for kind in kinds
         }
         expected["env", "shot_noise"] = {"kernel": next(iter(KINDS["kernel"]))}
         assert documented == expected
 
     @pytest.mark.parametrize("section, kind", LAW_KINDS)
     def test_echo_loads_back_to_the_same_law(self, tmp_path, section, kind):
-        law = build(section, kind)
-        lines = [f"{key} = {value}" for key, value in describe(law).items()]
-        cfg_path = tmp_path / "echo.cfg"
-        cfg_path.write_text("[experiment]\ntheorem = T2\n\n" + f"[{section}]\n" + "\n".join(lines))
-        cfg, _ = load_experiment_config(cfg_path)
-        assert getattr(cfg, section) == law
+        # at the defaults and off them
+        assert set(OFF_DEFAULT[section, kind]) == set(kind_keys(section, kind))
+        for values in ({}, OFF_DEFAULT[section, kind]):
+            law = build(section, kind, values)
+            lines = [f"{key} = {value}" for key, value in describe(law).items()]
+            cfg_path = tmp_path / "echo.cfg"
+            cfg_path.write_text(
+                "[experiment]\ntheorem = T2\n\n" + f"[{section}]\n" + "\n".join(lines)
+            )
+            cfg, _ = load_experiment_config(cfg_path)
+            assert getattr(cfg, section) == law
 
     @pytest.mark.parametrize(
         "old, new",
@@ -698,10 +721,12 @@ class TestTypedErrors:
              "at least two distinct sites"),
             (LATTICE_CONFIG, "kind = rademacher", "kind = lattice\nweights = 0:0.5,1:0.5",
              "centred jumps that generate bZ"),
+            (LATTICE_CONFIG, "kind = rademacher", "kind = lattice\na = 0.5",
+             "takes no key 'a'"),
         ],
         ids=["experiment", "jump", "wait", "functional", "env", "kernel-amplitude",
              "kernel-decay", "lattice-weight", "lattice-one-site", "lattice-site-twice",
-             "lattice-off-bZ"],
+             "lattice-off-bZ", "lattice-a"],
     )
     def test_bad_ini_value_exit_two(self, runner, tmp_path, base, old, new, message):
         cfg_path = tmp_path / "bad.cfg"

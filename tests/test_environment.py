@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ctrwlab import environment
 from ctrwlab.environment import (
     DeterministicEnv,
     Kernel,
@@ -86,8 +87,8 @@ class TestKernel:
             )
 
     def test_power_kernel_tail_bound(self):
-        k = power_kernel(0.5, 3.0, tail_tol=1e-6)
-        assert k.tail_bound <= 1e-6 * (1.0 + 1e-9)
+        k = power_kernel(0.5, 3.0)
+        assert k.tail_bound <= environment.POWER_TAIL_TOL * (1.0 + 1e-9)
 
     @pytest.mark.parametrize(
         "decay_beta, tail_tol, message",
@@ -99,9 +100,12 @@ class TestKernel:
             (1e-200, 1e-200, "cutoff overflows"),
         ],
     )
-    def test_power_kernel_bad_decay_or_tolerance(self, decay_beta, tail_tol, message):
+    def test_power_kernel_bad_decay_or_tolerance(
+        self, monkeypatch, decay_beta, tail_tol, message
+    ):
+        monkeypatch.setattr(environment, "POWER_TAIL_TOL", tail_tol)
         with pytest.raises(DomainError, match=message):
-            power_kernel(0.5, decay_beta, tail_tol=tail_tol)
+            power_kernel(0.5, decay_beta)
 
     def test_bump_kernel_exact_truncation(self):
         assert bump_kernel(0.5).tail_bound == 0.0
@@ -199,9 +203,10 @@ class TestPotential:
         )
         assert potential(env, 1.0) == pytest.approx(0.5, rel=1e-12)
 
-    def test_uncut_sum_oracle(self):
+    def test_uncut_sum_oracle(self, monkeypatch):
         # small cutoff versus a direct sum over every point
-        kernel = power_kernel(0.5, 3.0, tail_tol=1e-3)
+        monkeypatch.setattr(environment, "POWER_TAIL_TOL", 1e-3)
+        kernel = power_kernel(0.5, 3.0)
         cfg = sample_config((-60.0, 60.0), spawn_rng(SEED, "uncut"))
         env = ShotNoiseEnv(kernel=kernel, config=cfg)
         xs = np.linspace(-10.0, 10.0, 41)
@@ -250,8 +255,9 @@ class TestPotential:
         assert lambda_inv(env, 5.0) == pytest.approx(2.0, rel=1e-12)
 
     @pytest.fixture(params=["bump", "power"])
-    def batch_env(self, request):
-        kernel = bump_kernel() if request.param == "bump" else power_kernel(0.5, 3.0, tail_tol=1e-3)
+    def batch_env(self, request, monkeypatch):
+        monkeypatch.setattr(environment, "POWER_TAIL_TOL", 1e-3)
+        kernel = bump_kernel() if request.param == "bump" else power_kernel(0.5, 3.0)
         cfg = sample_config((-300.0, 300.0), spawn_rng(SEED, "batch", request.param))
         xs = spawn_rng(SEED, "batch-sites", request.param).uniform(-250.0, 250.0, 2000)
         return ShotNoiseEnv(kernel=kernel, config=cfg), xs
@@ -279,16 +285,16 @@ class TestPotential:
     def test_many_neighbours_fsum_oracle(self):
         # about 500 points within the cutoff of the origin, summed in order
         pts = np.sort(spawn_rng(SEED, "crowd").uniform(-60.0, 60.0, 500))
-        env = ShotNoiseEnv(kernel=power_kernel(), config=PoissonConfig(pts, -200.0, 200.0))
+        env = ShotNoiseEnv(kernel=power_kernel(0.5), config=PoissonConfig(pts, -200.0, 200.0))
         assert env.kernel.cutoff_r > 60.0
         exact = math.fsum(env.kernel.phi(-pts))
         assert potential(env, 0.0) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_scratch_memory_bounded_by_the_batch(self):
-        # the default power kernel reaches about 140 points per site; the
+        # the power kernel at A = 0.5 reaches about 140 points per site; the
         # scratch arrays must scale with the sites, not with the pairs
         cfg = sample_config((-1200.0, 1200.0), spawn_rng(SEED, "memory"))
-        env = ShotNoiseEnv(kernel=power_kernel(), config=cfg)
+        env = ShotNoiseEnv(kernel=power_kernel(0.5), config=cfg)
         xs = spawn_rng(SEED, "memory-sites").uniform(-1000.0, 1000.0, 20_000)
         tracemalloc.start()
         try:
@@ -298,10 +304,10 @@ class TestPotential:
             tracemalloc.stop()
         assert peak <= 20 * xs.nbytes
 
-    @pytest.mark.parametrize(
-        "kernel", [bump_kernel(), power_kernel(0.5, 3.0, tail_tol=1e-3)], ids=["bump", "power"]
-    )
-    def test_far_apart_and_unreached_sites(self, kernel):
+    @pytest.mark.parametrize("name", ["bump", "power"])
+    def test_far_apart_and_unreached_sites(self, monkeypatch, name):
+        monkeypatch.setattr(environment, "POWER_TAIL_TOL", 1e-3)
+        kernel = bump_kernel() if name == "bump" else power_kernel(0.5, 3.0)
         pts = np.array([-50.3, -50.1, -49.6, 49.8, 50.0, 50.4])
         env = ShotNoiseEnv(kernel=kernel, config=PoissonConfig(pts, -200.0, 200.0))
         sites = np.array([-50.2, 0.0, 50.1, 120.0])
@@ -387,7 +393,7 @@ class TestQuadrature:
 
     def test_power_kernel_against_adaptive_quadrature(self):
         quad = pytest.importorskip("scipy.integrate").quad
-        kernel = power_kernel()
+        kernel = power_kernel(0.5)
         r = kernel.cutoff_r
 
         def h(y):

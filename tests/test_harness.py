@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -16,6 +15,7 @@ from ctrwlab.environment import (
     _quad,
     bump_kernel,
     periodic_env,
+    power_kernel,
     sample_config,
 )
 from ctrwlab.errors import DomainError, ExperimentConfigError, QuadratureError
@@ -41,7 +41,7 @@ SEED = 20240808
 
 
 def gauss_bump():
-    return FunctionalSpec(f=lambda x: np.exp(-(x**2)), f_integral=math.sqrt(math.pi))
+    return FunctionalSpec(f=lambda x: np.exp(-(x**2)))
 
 
 def small_config(**overrides):
@@ -252,7 +252,7 @@ class TestValidation:
 class TestRunExperiment:
     def test_degenerate_zero_functional(self):
         cfg = small_config(
-            functional=FunctionalSpec(f=lambda x: np.zeros_like(x), f_integral=0.0)
+            functional=FunctionalSpec(f=lambda x: np.zeros_like(x))
         )
         report = run_experiment(cfg)
         for row in report.rows:
@@ -276,7 +276,7 @@ class TestRunExperiment:
 
     def test_f_integral_computed_by_quadrature_when_missing(self):
         cfg = small_config(
-            functional=FunctionalSpec(f=lambda x: np.exp(-(x**2)), f_integral=None)
+            functional=FunctionalSpec(f=lambda x: np.exp(-(x**2)))
         )
         report = run_experiment(cfg)
         assert report.f_integral == pytest.approx(math.sqrt(math.pi), rel=1e-8)
@@ -286,9 +286,8 @@ class TestRunExperiment:
             theorem="T3",
             jump=SymmetricPareto(1.5),
             env=periodic_env(2.0, 1.0, 1.0),
-            # for T3 the integral constant is dx-integral of g/Lambda; leave
-            # it unset so the harness computes it by quadrature
-            functional=FunctionalSpec(f=lambda x: np.exp(-(x**2)), f_integral=None),
+            # for T3 the integral constant is the dx-integral of g/Lambda
+            functional=FunctionalSpec(f=lambda x: np.exp(-(x**2))),
             t=4000.0,
             replicates=400,
             limit_replicates=400,
@@ -352,23 +351,6 @@ class TestRunExperiment:
         tails = 0.5 * math.sqrt(math.pi) * (math.erfc(1.0 - y) + math.erfc(1.0 + y))
         assert got == pytest.approx(inner + tails, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "theorem, supplied", [("T5", 1.25), ("T2-lattice", 2.5)], ids=["T5", "T2-lattice"]
-    )
-    def test_supplied_f_integral_is_taken(self, theorem, supplied):
-        report = run_experiment(
-            small_config(
-                theorem=theorem,
-                jump=SymmetricPareto(1.5) if theorem == "T5" else rademacher(),
-                kernel=bump_kernel(math.log(2.0)) if theorem == "T5" else None,
-                functional=FunctionalSpec(f=lambda x: np.exp(-(x**2)), f_integral=supplied),
-                ks_threshold=1.0,
-            )
-        )
-        assert report.f_integral == supplied
-        # mu = 1, so the constant is f_integral times the environment factor
-        assert report.limit_constant == pytest.approx(supplied * report.env_constant, rel=1e-15)
-
     @pytest.mark.parametrize("theorem", ["T2", "T3", "T5"])
     def test_unresolvable_functional_raises(self, theorem):
         # the spike of indicator_zero is narrower than any node spacing
@@ -408,9 +390,7 @@ class TestRunExperiment:
                     theorem="T3",
                     jump=SymmetricPareto(1.5),
                     env=periodic_env(2.0, 1.0, 1.0),
-                    functional=FunctionalSpec(
-                        f=lambda x: np.exp(-(x**2)), f_integral=None
-                    ),
+                    functional=FunctionalSpec(f=lambda x: np.exp(-(x**2))),
                     t=t,
                     replicates=300,
                     limit_replicates=300,
@@ -428,8 +408,7 @@ class TestRunExperiment:
         shared = dict(
             theorem="T5",
             jump=SymmetricPareto(1.5),
-            # a supplied f_integral would replace the quenched constant
-            functional=FunctionalSpec(f=lambda x: np.exp(-(x**2)), f_integral=None),
+            functional=FunctionalSpec(f=lambda x: np.exp(-(x**2))),
             kernel=bump_kernel(math.log(2.0)),
             t=1000.0,
             replicates=120,
@@ -542,11 +521,18 @@ class TestWindowSuggestion:
 
 
 class TestKindTable:
-    @pytest.mark.parametrize("section", ["jump", "wait"])
-    def test_law_keys_are_dataclass_fields(self, section):
-        for kind, (make, defaults) in KINDS[section].items():
-            if isinstance(make, type):
-                assert set(defaults) == {f.name for f in dataclasses.fields(make)}, kind
+    @pytest.mark.parametrize("section", list(KINDS))
+    def test_constructors_take_no_arguments(self, section):
+        # a kind's defaults are its constructor's; for laws, built ones compare
+        for kind, make in KINDS[section].items():
+            made = make()
+            if section in ("jump", "wait"):
+                assert made == build(section, kind, {}), kind
+
+    def test_python_defaults_are_the_ini_defaults(self):
+        assert ParetoWait().mu == 1.0
+        assert power_kernel().cutoff_r == build("kernel", "power").cutoff_r
+        assert power_kernel().bound_c == math.log(2.0)
 
     def test_defaults_fill_missing_keys(self):
         assert build("wait", "pareto", {}) == ParetoWait(2.0, 0.5)
@@ -577,7 +563,5 @@ class TestKindTable:
     def test_describe_uses_ini_names_and_values(self):
         assert describe(ParetoWait(2.0, 0.5)) == {"kind": "pareto", "index": 2.0, "x_min": 0.5}
         assert describe(DeterministicWait(0.7)) == {"kind": "deterministic", "mean": 0.7}
-        assert describe(rademacher()) == {
-            "kind": "lattice", "a": 0.0, "b": 1.0, "weights": "-1:0.5,1:0.5"
-        }
+        assert describe(rademacher()) == {"kind": "lattice", "b": 1.0, "weights": "-1:0.5,1:0.5"}
         assert describe(None) == {"kind": "none"}

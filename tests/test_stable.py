@@ -126,7 +126,7 @@ class TestJumpLaws:
         assert set(np.unique(samples)) == {-1.0, 1.0}
 
     def test_lattice_centering_shift(self):
-        law = Lattice(a=0.0, b=1.0, weights=((0, 0.5), (2, 0.5)))
+        law = Lattice(b=1.0, weights=((0, 0.5), (2, 0.5)))
         samples = law.sample(spawn_rng(SEED, "lat2"), 10_000)
         assert set(np.unique(samples)) == {-1.0, 1.0}  # shifted by the mean
 
@@ -137,12 +137,12 @@ class TestJumpLaws:
     )
     def test_lattice_rejects_bad_weights(self, weights):
         with pytest.raises(DomainError, match="weights must be positive and sum to 1"):
-            Lattice(a=0.0, b=1.0, weights=weights)
+            Lattice(b=1.0, weights=weights)
 
     @pytest.mark.parametrize("weights", [((0, 1.0),), ((1, 0.5), (1, 0.5))])
     def test_lattice_rejects_a_single_site(self, weights):
         with pytest.raises(DomainError, match="at least two distinct sites"):
-            Lattice(a=0.0, b=1.0, weights=weights)
+            Lattice(b=1.0, weights=weights)
 
     @pytest.mark.parametrize(
         "b, weights, generates",
@@ -157,12 +157,18 @@ class TestJumpLaws:
         ],
     )
     def test_lattice_generates_bz(self, b, weights, generates):
-        assert Lattice(a=0.0, b=b, weights=weights).generates_lattice is generates
+        assert Lattice(b=b, weights=weights).generates_lattice is generates
 
     def test_skewed_pareto_centered(self):
         law = SkewedPareto(1.5, 1.0, p_right=0.8)
         assert law.beta_attr == pytest.approx(-0.6)
         assert law.centering_shift == pytest.approx(0.6 * 3.0)
+
+    def test_unskewed_pareto_reports_positive_zero_skew(self):
+        # as the symmetric law does: a report echoes beta_used 0.0, not -0.0
+        beta = SkewedPareto(1.5, 1.0, p_right=0.5).beta_attr
+        assert beta == SymmetricPareto(1.5).beta_attr == 0.0
+        assert math.copysign(1.0, beta) == 1.0
 
     def test_pareto_index_out_of_range(self):
         with pytest.raises(DomainError):

@@ -53,7 +53,7 @@ class TestWaitLaws:
 
     def test_positive_samples(self):
         rng = spawn_rng(SEED, "waits")
-        for law in [Exponential(1.0), ParetoWait(2.0), GammaWait(0.5, 2.0)]:
+        for law in [Exponential(1.0), ParetoWait(2.0, x_min=1.0), GammaWait(0.5, 2.0)]:
             assert np.all(law.sample(rng, 1000) > 0)
 
     def test_invalid(self):
@@ -99,7 +99,7 @@ class TestSimulateSkeleton:
         for i, (jump, wait) in enumerate(
             [
                 (Gaussian(2.0), Exponential(1.0)),
-                (SymmetricPareto(1.5), ParetoWait(2.5)),
+                (SymmetricPareto(1.5), ParetoWait(2.5, x_min=1.0)),
                 (rademacher(), GammaWait(2.0, 0.3)),
             ]
         ):
@@ -192,7 +192,7 @@ class TestClock:
         path = simulate_skeleton(rademacher(), DeterministicWait(mean), t, spawn_rng(SEED, "det"))
         tau = np.cumsum(path.holds)
         assert (tau[-2] if path.n_jumps else 0.0) <= t < tau[-1]
-        spec = FunctionalSpec(f=lambda x: np.ones_like(x), f_integral=None)
+        spec = FunctionalSpec(f=lambda x: np.ones_like(x))
         assert additive_functional(path, spec, [1.0])[0] == pytest.approx(t, rel=1e-12)
 
     def test_clock_carried_across_blocks(self):
@@ -252,7 +252,7 @@ class TestAdditiveFunctional:
         path = simulate_skeleton(
             SymmetricPareto(1.5), Exponential(1.0), 80.0, spawn_rng(SEED, "const")
         )
-        spec = FunctionalSpec(f=lambda x: np.ones_like(x), f_integral=None)
+        spec = FunctionalSpec(f=lambda x: np.ones_like(x))
         u = np.array([0.25, 0.5, 1.0])
         values = additive_functional(path, spec, u)
         assert np.allclose(values, 80.0 * u, rtol=1e-12)
@@ -263,9 +263,7 @@ class TestAdditiveFunctional:
             holds=np.array([1.0, 2.0, 4.0]),
             horizon_t=2.5,
         )
-        spec = FunctionalSpec(
-            f=lambda x: (np.abs(x) < 1e-12).astype(float), f_integral=None
-        )
+        spec = FunctionalSpec(f=lambda x: (np.abs(x) < 1e-12).astype(float))
         # at u=1 (time 2.5, inside the second hold) only the origin hold counts
         assert additive_functional(path, spec, [1.0])[0] == pytest.approx(1.0)
 
@@ -275,7 +273,7 @@ class TestAdditiveFunctional:
         path = simulate_skeleton(
             SymmetricPareto(1.5), Exponential(1.0), 10.0, spawn_rng(SEED, "riemann", 0)
         )
-        spec = FunctionalSpec(f=lambda x: np.exp(-(x**2)), f_integral=None)
+        spec = FunctionalSpec(f=lambda x: np.exp(-(x**2)))
         exact = additive_functional(path, spec, [0.6])[0]
         step = 1e-4 * path.horizon_t
         grid = np.arange(0.0, 0.6 * path.horizon_t, step)
@@ -288,7 +286,7 @@ class TestAdditiveFunctional:
         path = simulate_skeleton(
             Gaussian(1.0), GammaWait(2.0, 0.5), 60.0, spawn_rng(SEED, "add")
         )
-        spec = FunctionalSpec(f=lambda x: np.cos(x), f_integral=None)
+        spec = FunctionalSpec(f=lambda x: np.cos(x))
         u1, u2 = 0.3, 0.9
         v1, v2 = additive_functional(path, spec, [u1, u2])
         # independent recomputation of the increment by brute scan
@@ -306,7 +304,7 @@ class TestAdditiveFunctional:
         path = simulate_skeleton(
             Gaussian(1.0), Exponential(1.0), 10.0, spawn_rng(SEED, "u")
         )
-        spec = FunctionalSpec(f=lambda x: x, f_integral=None)
+        spec = FunctionalSpec(f=lambda x: x)
         with pytest.raises(DomainError):
             additive_functional(path, spec, [1.2])
 
@@ -314,7 +312,7 @@ class TestAdditiveFunctional:
         path = simulate_skeleton(
             Gaussian(1.0), Exponential(1.0), 10.0, spawn_rng(SEED, "u0")
         )
-        spec = FunctionalSpec(f=lambda x: np.ones_like(x), f_integral=None)
+        spec = FunctionalSpec(f=lambda x: np.ones_like(x))
         assert additive_functional(path, spec, [0.0])[0] == 0.0
 
 
@@ -324,7 +322,7 @@ class TestNormalizedFunctional:
         path = simulate_skeleton(
             Gaussian(2.0), Exponential(1.0), 1e4, spawn_rng(SEED, "comp")
         )
-        spec = FunctionalSpec(f=lambda x: np.ones_like(x), f_integral=None)
+        spec = FunctionalSpec(f=lambda x: np.ones_like(x))
         value = normalized_functional(path, spec, Gaussian(2.0), 1e4, [1.0])[0]
         assert value == pytest.approx(100.0, rel=1e-12)
 
@@ -369,7 +367,7 @@ class TestLatticeLimitConstant:
         assert value == pytest.approx(1.772637, abs=1e-5)
 
     def test_half_spacing_counts_two_points(self):
-        law = Lattice(a=0.0, b=0.5, weights=((-1, 0.5), (1, 0.5)))
+        law = Lattice(b=0.5, weights=((-1, 0.5), (1, 0.5)))
         f = lambda x: ((x >= 0.0) & (x < 1.0)).astype(float)
         assert lattice_limit_constant(law, f) == pytest.approx(1.0)
 
@@ -384,7 +382,7 @@ class TestLatticeLimitConstant:
             lattice_limit_constant(Gaussian(1.0), lambda x: x)
 
     def test_requires_jumps_that_generate_bz(self):
-        law = Lattice(a=0.0, b=1.0, weights=((0, 0.5), (1, 0.5)))
+        law = Lattice(b=1.0, weights=((0, 0.5), (1, 0.5)))
         with pytest.raises(DomainError, match="generate bZ"):
             lattice_limit_constant(law, lambda x: np.ones_like(x))
 
@@ -426,5 +424,5 @@ def test_functional_scales_with_horizon(mu, alpha):
     path = simulate_skeleton(
         SymmetricPareto(alpha), Exponential(mu), 25.0, spawn_rng(7, "prop")
     )
-    spec = FunctionalSpec(f=lambda x: np.ones_like(x), f_integral=None)
+    spec = FunctionalSpec(f=lambda x: np.ones_like(x))
     assert additive_functional(path, spec, [1.0])[0] == pytest.approx(25.0, rel=1e-9)

@@ -21,7 +21,6 @@ from .environment import (
 )
 from .errors import (
     BoundaryError,
-    CalibrationError,
     CtrwLabError,
     DivergentSumError,
     DomainError,
@@ -34,9 +33,7 @@ from .harness import (
     ComparisonReport,
     ExperimentConfig,
     emit_report,
-    fdd_joint_check,
     run_experiment,
-    split_self_test,
 )
 from .levy import (
     LevyPath,
@@ -49,16 +46,12 @@ from .levy import (
 )
 from .rng import spawn_rng
 from .stable import (
-    CalibrationResult,
     Gaussian,
     JumpLaw,
     Lattice,
     StableParams,
     SkewedPareto,
     SymmetricPareto,
-    calibrate_sigma,
-    empirical_chf,
-    hill_estimator,
     norm_constant,
     rademacher,
     sample_stable,

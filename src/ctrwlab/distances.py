@@ -27,11 +27,11 @@ def ks_two_sample(a, b) -> float:
 
 
 def ks_critical_value(n: int, m: int, confidence: float = 0.99) -> float:
-    """Asymptotic two-sample KS threshold at the given confidence."""
-    coeffs = {0.90: 1.224, 0.95: 1.358, 0.99: 1.628}
-    if confidence not in coeffs:
-        raise DomainError(f"confidence must be one of {sorted(coeffs)}")
-    return coeffs[confidence] * np.sqrt((n + m) / (n * m))
+    """Asymptotic two-sample KS threshold at the given confidence:
+    c sqrt((n + m) / (n m)), with Smirnov's c = sqrt(-ln((1 - confidence) / 2) / 2)."""
+    if not 0.0 < confidence < 1.0:
+        raise DomainError(f"confidence must be in (0, 1), got {confidence}")
+    return np.sqrt(-0.5 * np.log((1.0 - confidence) / 2.0) * (n + m) / (n * m))
 
 
 def wasserstein1(a, b) -> float:

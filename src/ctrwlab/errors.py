@@ -29,18 +29,6 @@ class BoundaryError(CtrwLabError):
     """An environment was queried too close to (or outside) its window."""
 
 
-class CalibrationError(CtrwLabError):
-    """Scale calibration did not converge; carries the achieved distance."""
-
-    def __init__(self, achieved_ks: float, threshold: float):
-        self.achieved_ks = achieved_ks
-        self.threshold = threshold
-        super().__init__(
-            f"calibration fit did not converge: best KS distance "
-            f"{achieved_ks:.4f} exceeds {threshold:.4f}"
-        )
-
-
 class QuadratureError(CtrwLabError):
     """Numerical integration failed to reach its accuracy target."""
 

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distances import ks_critical_value, ks_two_sample, wasserstein1
+from .distances import ks_two_sample, wasserstein1
 from .environment import (
     DeterministicEnv,
     Kernel,
@@ -37,7 +37,7 @@ from .environment import (
 )
 from .errors import ExperimentConfigError, ReportIOError
 from .levy import sample_limit_rv
-from .rng import RandomSource, spawn_rng
+from .rng import spawn_rng
 from .stable import (
     Gaussian,
     JumpLaw,
@@ -513,34 +513,6 @@ class ComparisonReport:
         return asdict(self)
 
 
-def fdd_joint_check(
-    func_matrix: np.ndarray,
-    limit_matrix: np.ndarray,
-    u_grid,
-    u_pair,
-    threshold: float,
-) -> dict:
-    """Compare the joint law at (u1, u2) through its three 1-d projections:
-    both marginals and the increment."""
-    u = list(np.asarray(u_grid, dtype=float))
-    i1, i2 = u.index(float(u_pair[0])), u.index(float(u_pair[1]))
-    ks_u1 = ks_two_sample(func_matrix[:, i1], limit_matrix[:, i1])
-    ks_u2 = ks_two_sample(func_matrix[:, i2], limit_matrix[:, i2])
-    ks_inc = ks_two_sample(
-        func_matrix[:, i2] - func_matrix[:, i1],
-        limit_matrix[:, i2] - limit_matrix[:, i1],
-    )
-    return {
-        "u1": float(u_pair[0]),
-        "u2": float(u_pair[1]),
-        "ks_u1": ks_u1,
-        "ks_u2": ks_u2,
-        "ks_increment": ks_inc,
-        "threshold": threshold,
-        "passed": bool(max(ks_u1, ks_u2, ks_inc) <= threshold),
-    }
-
-
 def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     cfg.validate()
     started = time.perf_counter()
@@ -635,10 +607,18 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
             )
         )
 
-    fdd = [
-        fdd_joint_check(func_matrix, limit_matrix, u_grid, pair, cfg.ks_threshold)
-        for pair in cfg.fdd_pairs
-    ]
+    # The joint law at (u1, u2) through its three 1-d projections: the two
+    # marginals are the rows' own comparisons, and only the increment is new.
+    fdd = []
+    for u1, u2 in cfg.fdd_pairs:
+        i1, i2 = u_grid.index(u1), u_grid.index(u2)
+        ks_inc = ks_two_sample(*(m[:, i2] - m[:, i1] for m in (func_matrix, limit_matrix)))
+        ks_u1, ks_u2 = rows[i1].ks, rows[i2].ks
+        fdd.append(dict(
+            u1=u_grid[i1], u2=u_grid[i2], threshold=cfg.ks_threshold,
+            ks_u1=ks_u1, ks_u2=ks_u2, ks_increment=ks_inc,
+            passed=bool(max(ks_u1, ks_u2, ks_inc) <= cfg.ks_threshold),
+        ))
 
     passed = all(r.passed for r in rows) and all(f["passed"] for f in fdd)
     # Every [experiment] key but ``workers``, on which no report value
@@ -676,21 +656,6 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         passed=passed,
         runtime_seconds=runtime,
     )
-
-
-def split_self_test(samples: np.ndarray, n_rounds: int, rng: RandomSource) -> float:
-    """Fraction of random half-splits of one ensemble whose two-sample KS
-    stays below the 99% critical value; a null-calibration sanity check."""
-    samples = np.asarray(samples, dtype=float)
-    n = len(samples)
-    half = n // 2
-    crit = ks_critical_value(half, n - half, 0.99)
-    ok = 0
-    for _ in range(n_rounds):
-        perm = rng.permutation(n)
-        if ks_two_sample(samples[perm[:half]], samples[perm[half:]]) < crit:
-            ok += 1
-    return ok / n_rounds
 
 
 def report_json(report: ComparisonReport) -> str:

@@ -22,8 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .distances import ks_two_sample
-from .errors import CalibrationError, DomainError
+from .errors import DomainError
 from .rng import RandomSource
 
 
@@ -95,17 +94,6 @@ def sample_stable(params: StableParams, rng: RandomSource, size):
     return params.location_a + params.scale_c ** (1.0 / alpha) * x
 
 
-def empirical_chf(samples: np.ndarray, x_grid) -> np.ndarray:
-    """Empirical characteristic function at each grid point."""
-    x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    samples = np.asarray(samples, dtype=float)
-    out = np.empty(x_grid.shape, dtype=complex)
-    for i, x in enumerate(x_grid):
-        phase = x * samples
-        out[i] = np.mean(np.cos(phase)) + 1j * np.mean(np.sin(phase))
-    return out
-
-
 def _pareto_limit_scale(alpha: float, x_min: float) -> float:
     # For tails P(|xi| > x) = (x / x_min)^(-alpha) the normalized sums
     # converge to the stable law with scale c = x_min^alpha G(1-alpha)
@@ -147,12 +135,6 @@ class SymmetricPareto:
         magnitude = self.x_min * rng.random(size) ** (-1.0 / self.alpha)
         sign = rng.integers(0, 2, size) * 2.0 - 1.0
         return sign * magnitude
-
-    def tail_probability(self, x: float) -> float:
-        """P(|xi| > x), exact."""
-        if x <= self.x_min:
-            return 1.0
-        return (x / self.x_min) ** (-self.alpha)
 
 
 @dataclass(frozen=True)
@@ -297,73 +279,3 @@ def norm_constant(law: JumpLaw, t: float) -> float:
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
     return law.sigma_attr * t ** (1.0 / law.alpha_attr - 1.0)
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    sigma: float
-    beta: float
-    ks_distance: float
-
-
-_REF_FACTOR = 2  # the reference sample's size over the number of partial sums
-CALIBRATION_KS_THRESHOLD = 0.05
-
-
-def calibrate_sigma(
-    law: JumpLaw, n: int, n_replicates: int, rng: RandomSource
-) -> CalibrationResult:
-    """Fit the scale sigma mapping the law onto the standard stable limit.
-
-    Draws ``n_replicates`` partial sums of length ``n``, normalizes by
-    ``sigma n^(1/alpha)``, and minimizes the two-sample KS distance to an
-    exact sample of the standard law ``(alpha_attr, beta_attr, c=1, a=0)``
-    over sigma.  Raises ``CalibrationError`` if the optimum stays above
-    ``CALIBRATION_KS_THRESHOLD``.
-    """
-    if n < 10 or n_replicates < 100:
-        raise DomainError("calibration needs n >= 10 and n_replicates >= 100")
-    alpha = law.alpha_attr
-    beta = law.beta_attr
-
-    sums = np.zeros(n_replicates)
-    chunk = max(1, int(4e6) // n)
-    done = 0
-    while done < n_replicates:
-        m = min(chunk, n_replicates - done)
-        sums[done : done + m] = law.sample(rng, (m, n)).reshape(m, n).sum(axis=1)
-        done += m
-    normalized = sums / n ** (1.0 / alpha)
-
-    ref = sample_stable(StableParams(alpha, beta), rng, _REF_FACTOR * n_replicates)
-
-    spread = np.subtract(*np.percentile(normalized, [75, 25]))
-    ref_spread = np.subtract(*np.percentile(ref, [75, 25]))
-    sigma0 = max(spread / ref_spread, 1e-12)
-
-    best_sigma, best_ks = sigma0, np.inf
-    center, half_width = math.log(sigma0), math.log(2.0)
-    for _ in range(3):
-        grid = np.exp(np.linspace(center - half_width, center + half_width, 25))
-        for sigma in grid:
-            ks = ks_two_sample(normalized / sigma, ref)
-            if ks < best_ks:
-                best_ks, best_sigma = ks, float(sigma)
-        center = math.log(best_sigma)
-        half_width /= 5.0
-
-    if best_ks > CALIBRATION_KS_THRESHOLD:
-        raise CalibrationError(best_ks, CALIBRATION_KS_THRESHOLD)
-    return CalibrationResult(sigma=best_sigma, beta=beta, ks_distance=best_ks)
-
-
-def hill_estimator(samples: np.ndarray, tail_fraction: float = 0.01) -> float:
-    """Hill estimate of the tail index from the top fraction of |samples|."""
-    if not 0.0 < tail_fraction < 1.0:
-        raise DomainError(f"tail_fraction must be in (0, 1), got {tail_fraction}")
-    magnitudes = np.sort(np.abs(np.asarray(samples, dtype=float)))[::-1]
-    k = int(len(magnitudes) * tail_fraction)
-    if k < 2:
-        raise DomainError("too few samples for the requested tail fraction")
-    logs = np.log(magnitudes[: k + 1])
-    return float(1.0 / np.mean(logs[:k] - logs[k]))

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from ctrwlab.cli import main as cli_main
+from ctrwlab.distances import ks_critical_value
 from ctrwlab.environment import (
     ShotNoiseEnv,
     bump_kernel,
@@ -28,14 +29,13 @@ from ctrwlab.stable import (
     Gaussian,
     StableParams,
     SymmetricPareto,
-    calibrate_sigma,
-    empirical_chf,
     rademacher,
     sample_stable,
     stable_chf,
 )
 from ctrwlab.walk import Exponential, FunctionalSpec, simulate_skeleton
 from ctrwlab.environment import periodic_env
+from oracles import calibrate_sigma, empirical_chf
 
 SEED = 20240808
 
@@ -258,6 +258,32 @@ def test_09_brownian_local_time_oracle():
         abs(mean - target) / target < 0.05,
         f"mean estimate {mean:.4f} within 5% of 1/sqrt(pi) = {target:.4f} "
         f"(1e4 paths, grid 1e5, eps=0.01)",
+    )
+
+
+def test_11_periodic_comparison_theorem3():
+    cfg = ExperimentConfig(
+        theorem="T3",
+        jump=SymmetricPareto(1.5),
+        wait=Exponential(1.0),
+        functional=gauss_bump(),
+        env=periodic_env(2.0, 1.0, 1.0),
+        t=1e4,
+        replicates=2000,
+        limit_replicates=2000,
+        master_seed=SEED,
+        ks_threshold=0.08,
+        workers=2,
+    )
+    rep = run_experiment(cfg)
+    crit = ks_critical_value(2000, 2000, 0.99)
+    worst = max(r.ks for r in rep.rows)
+    per_u = ", ".join(f"u={r.u:g}: {r.ks:.4f}" for r in rep.rows)
+    report(
+        "11 periodic comparison",
+        worst <= 0.08,
+        f"KS per u ({per_u}) beside the 99% critical value {crit:.4f}; "
+        f"max {worst:.4f} <= 0.08 (t=1e4, M=M'=2000)",
     )
 
 

@@ -25,17 +25,16 @@ from ctrwlab.harness import (
     build,
     describe,
     emit_report,
-    fdd_joint_check,
     quenched_integral,
     report_csv,
     report_json,
     run_experiment,
-    split_self_test,
     suggest_window_halfwidth,
 )
 from ctrwlab.rng import spawn_rng
 from ctrwlab.stable import Gaussian, StableParams, SymmetricPareto, rademacher, sample_stable
 from ctrwlab.walk import DeterministicWait, Exponential, FunctionalSpec, ParetoWait
+from oracles import split_self_test
 
 SEED = 20240808
 
@@ -99,6 +98,22 @@ class TestKsTwoSample:
     def test_bounds(self, a, b):
         d = ks_two_sample(a, b)
         assert 0.0 <= d <= 1.0
+
+
+class TestKsCriticalValue:
+    @pytest.mark.parametrize(
+        "confidence, c", [(0.90, 1.224), (0.95, 1.358), (0.99, 1.628), (0.98, 1.517)]
+    )
+    def test_smirnov_coefficient(self, confidence, c):
+        # c sqrt((n + m) / (n m)) with c = sqrt(-ln((1 - confidence) / 2) / 2)
+        assert ks_critical_value(200, 800, confidence) == pytest.approx(
+            c * math.sqrt(1000 / (200 * 800)), rel=1e-3
+        )
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0])
+    def test_confidence_outside_the_open_interval_rejected(self, confidence):
+        with pytest.raises(DomainError):
+            ks_critical_value(100, 100, confidence)
 
 
 class TestWasserstein1:
@@ -448,13 +463,22 @@ class TestRunExperiment:
 
 
 class TestFddJointCheck:
-    def test_ensemble_against_itself_passes(self):
-        rng = spawn_rng(SEED, "fdd")
-        m = np.abs(rng.normal(size=(500, 2)))
-        m = np.sort(m, axis=1)  # monotone in u, like local times
-        frag = fdd_joint_check(m, m, (0.5, 1.0), (0.5, 1.0), threshold=0.05)
-        assert frag["passed"]
-        assert frag["ks_u1"] == frag["ks_u2"] == frag["ks_increment"] == 0.0
+    def test_pairs_reuse_the_rows_and_add_the_increment(self):
+        rep = run_experiment(
+            small_config(
+                u_grid=(0.25, 0.5, 1.0),
+                fdd_pairs=((0.25, 0.5), (0.5, 1.0)),
+                # at this seed one pair passes and the other fails
+                ks_threshold=0.16,
+            )
+        )
+        ks_at = {row.u: row.ks for row in rep.rows}
+        assert len(rep.fdd) == 2
+        for frag in rep.fdd:
+            assert frag["ks_u1"] == ks_at[frag["u1"]]
+            assert frag["ks_u2"] == ks_at[frag["u2"]]
+            worst = max(frag["ks_u1"], frag["ks_u2"], frag["ks_increment"])
+            assert frag["passed"] == (worst <= frag["threshold"])
 
     def test_limit_increments_are_nonnegative(self):
         from ctrwlab.levy import sample_limit_rv

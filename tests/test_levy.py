@@ -17,7 +17,8 @@ from ctrwlab.levy import (
     simulate_levy,
 )
 from ctrwlab.rng import spawn_rng
-from ctrwlab.stable import StableParams, empirical_chf, stable_chf
+from ctrwlab.stable import StableParams, stable_chf
+from oracles import empirical_chf
 
 SEED = 20240808
 

@@ -12,10 +12,16 @@ phi(x - y)`` for a nonnegative kernel ``phi`` bounded by
 ``2 C cutoff_r^(-beta) / beta`` per unit intensity, below ``POWER_TAIL_TOL``
 for the power kernel.  Every read of the configuration goes through
 ``ShotNoiseEnv.points_near``, which checks the window.
+
+The window fixes a sampled configuration, and a walk that leaves it fails,
+but the memory held follows the span the reads reach: ``sample_config``
+streams the window's uniforms and keeps the points of its middle eighth,
+and a read beyond them draws the same uniforms again to widen the span.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -108,33 +114,87 @@ def bump_kernel(amplitude: float = math.log(2.0)) -> Kernel:
     )
 
 
-@dataclass(frozen=True)
+# sample_config draws its uniforms in chunks of this many, and holds at first
+# only the points of this share of the window, around the window's centre.
+_CHUNK = 1 << 16
+_FIRST_SPAN = 1.0 / 8.0
+
+
 class PoissonConfig:
-    """A homogeneous unit-intensity Poisson configuration restricted to a
-    window; points are kept sorted."""
+    """A homogeneous unit-intensity Poisson configuration restricted to the
+    window [lo, hi]: ``count`` points, read sorted through ``between``.
 
-    points: np.ndarray
-    lo: float
-    hi: float
+    ``PoissonConfig(points, lo, hi)`` holds the sorted ``points`` it is
+    given.  A configuration that ``sample_config`` draws holds only the
+    points of a span of the window, and keeps the generator as it stood
+    before its uniforms: a read past the span draws the same uniforms again
+    and at least doubles the span.  The points are fixed either way; only
+    the share held grows, and in a forked worker it grows in that worker.
+    """
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, points, lo: float, hi: float):
+        if lo > hi:
             raise DomainError("window must satisfy lo <= hi")
+        self.lo = lo
+        self.hi = hi
+        self._held = np.asarray(points, dtype=float)
+        self.count = self._held.size
+        self._span = (lo, hi)
+        # the generator at the first uniform, while the span is not the window
+        self._replay = None
 
     @property
-    def count(self) -> int:
-        return len(self.points)
+    def points(self) -> np.ndarray:
+        """Every point of the window, sorted."""
+        return self.between(self.lo, self.hi)
+
+    def between(self, a: float, b: float) -> np.ndarray:
+        """The sorted points in [a, b], a range of the window."""
+        if self._replay is not None and not (self._span[0] <= a and b <= self._span[1]):
+            mid = 0.5 * (self.lo + self.hi)
+            half = max(self._span[1] - self._span[0], mid - a, b - mid)
+            if half < 0.5 * (self.hi - self.lo):
+                span = (min(a, mid - half), max(b, mid + half))
+                self._hold(copy.deepcopy(self._replay), span)
+            else:
+                self._hold(self._replay, (self.lo, self.hi))
+                self._replay = None
+        pts = self._held
+        return pts[np.searchsorted(pts, a, side="left") : np.searchsorted(pts, b, side="right")]
+
+    def _hold(self, rng: RandomSource, span: tuple[float, float]) -> None:
+        """Hold, sorted, the points in ``span`` of the ``count`` uniforms
+        that ``rng`` draws next, drawn ``_CHUNK`` at a time."""
+        a, b = span
+        expected = self.count * min(1.0, (b - a) / (self.hi - self.lo)) if self.count else 0.0
+        held = np.empty(int(expected + 8.0 * math.sqrt(expected)) + 1)
+        n = 0
+        for start in range(0, self.count, _CHUNK):
+            u = rng.uniform(self.lo, self.hi, min(_CHUNK, self.count - start))
+            u = u[(a <= u) & (u <= b)]
+            if n + u.size > held.size:
+                held = np.resize(held, 2 * (n + u.size))
+            held[n : n + u.size] = u
+            n += u.size
+        self._held = held[:n]
+        self._held.sort()
+        self._span = span
 
 
 def sample_config(window: tuple[float, float], rng: RandomSource) -> PoissonConfig:
-    """Poisson(length) many points, iid uniform on the window, sorted."""
+    """Poisson(length) many points, iid uniform on the window.
+
+    ``rng`` gives the count and then the uniforms as one
+    ``rng.uniform(lo, hi, count)`` would, and ends where that leaves it.
+    The configuration holds the points of the middle ``_FIRST_SPAN`` of the
+    window, and more as reads reach past them."""
     lo, hi = float(window[0]), float(window[1])
-    if lo > hi:
-        raise DomainError("window must satisfy lo <= hi")
-    count = int(rng.poisson(hi - lo))
-    points = rng.uniform(lo, hi, count)
-    points.sort()
-    return PoissonConfig(points=points, lo=lo, hi=hi)
+    config = PoissonConfig(np.empty(0), lo, hi)
+    config.count = int(rng.poisson(hi - lo))
+    config._replay = copy.deepcopy(rng)
+    mid, half = 0.5 * (lo + hi), 0.5 * _FIRST_SPAN * (hi - lo)
+    config._hold(rng, (mid - half, mid + half))
+    return config
 
 
 def save_config(config: PoissonConfig, destination) -> None:
@@ -225,8 +285,10 @@ def periodic_env(
 class ShotNoiseEnv:
     """Lambda(x) = exp(-E(x)) over a fixed Poisson configuration.
 
-    Immutable after creation; safe to share across parallel path
-    simulations in quenched mode.
+    The kernel and the configuration's points never change, so it is safe
+    to share across parallel path simulations in quenched mode.  Only the
+    span of points a sampled configuration holds widens as reads reach
+    further; each forked worker widens its own copy, to the same points.
     """
 
     kernel: Kernel
@@ -245,9 +307,7 @@ class ShotNoiseEnv:
                 f"query range [{lo:.6g}, {hi:.6g}] is within cutoff "
                 f"{r:.6g} of the window [{cfg.lo:.6g}, {cfg.hi:.6g}]"
             )
-        pts = cfg.points
-        first = np.searchsorted(pts, lo - r, side="left")
-        return pts[first : np.searchsorted(pts, hi + r, side="right")]
+        return cfg.between(lo - r, hi + r)
 
     def potential_many(self, x: np.ndarray) -> np.ndarray:
         """E(x) truncated to |x - y| <= cutoff_r, vectorized over x.
@@ -275,16 +335,20 @@ class ShotNoiseEnv:
         hi = np.cumsum(
             np.bincount(np.searchsorted(xs + r, near, side="left"), minlength=n + 1)
         )[:n]
+        counts = hi - lo
+        # the sites with the most neighbours first, by a stable radix sort
+        # on the smallest dtype that holds the counts: the sites still
+        # summing at pass d are then a prefix
+        most = int(counts.max())
+        rank = np.argsort((most - counts).astype(np.min_scalar_type(most)), kind="stable")
+        xs, lo, order = xs[rank], lo[rank], order[rank]
+        summing = n - np.cumsum(np.bincount(counts))
         sums = np.zeros(n)
         # pass d adds every site's d-th neighbour, so a site sums its own
         # points in ascending order and no scratch array outgrows the batch
-        live = np.flatnonzero(hi > lo)
-        k = lo[live]
-        while live.size:
-            sums[live] += self.kernel.phi(xs[live] - near[k])
-            k += 1
-            keep = k < hi[live]
-            live, k = live[keep], k[keep]
+        for d in range(most):
+            m = summing[d]
+            sums[:m] += self.kernel.phi(xs[:m] - near[lo[:m] + d])
         out = np.empty(n)
         out[order] = sums
         return out.reshape(x.shape)

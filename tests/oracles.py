@@ -1,6 +1,7 @@
 """Independent oracles that only the tests call: a fitted stable scale, the
-empirical characteristic function, a Hill tail index, the exact Pareto tail
-and a null calibration of the two-sample KS critical value."""
+empirical characteristic function, a Hill tail index, the exact Pareto tail,
+a null calibration of the two-sample KS critical value and the eager draw of
+a Poisson configuration."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ctrwlab.distances import ks_critical_value, ks_two_sample
+from ctrwlab.environment import PoissonConfig
 from ctrwlab.errors import CtrwLabError, DomainError
 from ctrwlab.rng import RandomSource
 from ctrwlab.stable import JumpLaw, StableParams, SymmetricPareto, sample_stable
@@ -128,3 +130,14 @@ def split_self_test(samples: np.ndarray, n_rounds: int, rng: RandomSource) -> fl
         if ks_two_sample(samples[perm[:half]], samples[perm[half:]]) < crit:
             ok += 1
     return ok / n_rounds
+
+
+def sample_config_eager(window: tuple[float, float], rng: RandomSource) -> PoissonConfig:
+    """The whole window's configuration in one draw: the Poisson count, then
+    every uniform at once, sorted.  ``sample_config`` must give the same
+    points and leave ``rng`` in the same state."""
+    lo, hi = float(window[0]), float(window[1])
+    count = int(rng.poisson(hi - lo))
+    points = rng.uniform(lo, hi, count)
+    points.sort()
+    return PoissonConfig(points, lo, hi)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrwlab import environment
 from ctrwlab.environment import (
@@ -29,6 +31,7 @@ from ctrwlab.errors import BoundaryError, DomainError, QuadratureError
 from ctrwlab.rng import spawn_rng
 from ctrwlab.stable import Gaussian
 from ctrwlab.walk import Exponential, simulate_skeleton
+from oracles import sample_config_eager
 
 SEED = 20240808
 
@@ -135,15 +138,39 @@ class TestPoissonConfig:
         corr = np.corrcoef(left, right)[0, 1]
         assert abs(corr) < 0.05
 
-    def test_sorts_in_place(self):
-        # the sorted configuration is the only window-sized array built
+    def test_holds_the_span_not_the_window(self):
+        # of the window's 1e6 points, only the first span's and one chunk's
+        # scratch are ever built
         tracemalloc.start()
         try:
             cfg = sample_config((-5e5, 5e5), spawn_rng(SEED, "in-place"))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * cfg.points.nbytes
+        half = 5e5 * environment._FIRST_SPAN
+        span = cfg.between(-half, half)
+        assert peak <= span.nbytes + 2 * environment._CHUNK * span.itemsize
+        assert peak <= 0.25 * cfg.count * span.itemsize
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lo=st.floats(-1e6, 1e6),
+        width=st.floats(0.0, 3e5),
+        seed=st.integers(0, 2**32),
+        cuts=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=6),
+    )
+    def test_matches_the_eager_oracle(self, lo, width, seed, cuts):
+        hi = lo + width
+        lazy_rng, eager_rng = spawn_rng(seed, "config"), spawn_rng(seed, "config")
+        lazy = sample_config((lo, hi), lazy_rng)
+        eager = sample_config_eager((lo, hi), eager_rng)
+        assert lazy.count == eager.count
+        assert lazy_rng.bit_generator.state == eager_rng.bit_generator.state
+        pts = eager.points
+        for c, d in cuts:
+            a, b = lo + width * min(c, d), lo + width * max(c, d)
+            np.testing.assert_array_equal(lazy.between(a, b), pts[(a <= pts) & (pts <= b)])
+        np.testing.assert_array_equal(lazy.points, pts)
 
     def test_save_load_round_trip(self, tmp_path):
         cfg = sample_config((-3.0, 7.0), spawn_rng(SEED, "io"))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from ctrwlab import harness
 from ctrwlab.distances import ks_critical_value, ks_two_sample, wasserstein1
 from ctrwlab.environment import (
     PoissonConfig,
@@ -34,7 +35,7 @@ from ctrwlab.harness import (
 from ctrwlab.rng import spawn_rng
 from ctrwlab.stable import Gaussian, StableParams, SymmetricPareto, rademacher, sample_stable
 from ctrwlab.walk import DeterministicWait, Exponential, FunctionalSpec, ParetoWait
-from oracles import split_self_test
+from oracles import sample_config_eager, split_self_test
 
 SEED = 20240808
 
@@ -460,6 +461,33 @@ class TestRunExperiment:
         assert echo["env_config_seed"] == 991
         assert "g_support_halfwidth" not in echo
         assert run_experiment(small_config()).config_echo["env_config_seed"] is None
+
+    def test_span_widening_in_workers_keeps_reports_identical(self, monkeypatch):
+        # the walks reach past the configuration's first span, so each
+        # worker widens its own copy; the points, and so the report, are
+        # those of the eager draw of the whole window at any worker count
+        cfg = dict(env_window_halfwidth=5000.0, t=1000.0, replicates=120,
+                   limit_replicates=120, ks_threshold=1.0)
+        spans = []
+        hold = PoissonConfig._hold
+
+        def recorded_hold(self, rng, span):
+            spans.append(span)
+            hold(self, rng, span)
+
+        monkeypatch.setattr(PoissonConfig, "_hold", recorded_hold)
+        reports = [run_experiment(t5_config(workers=1, **cfg))]
+        # sampled, then widened by the walks; forked workers widen unseen
+        assert len(spans) >= 2
+        reports.append(run_experiment(t5_config(workers=2, **cfg)))
+        monkeypatch.setattr(harness, "sample_config", sample_config_eager)
+        reports.append(run_experiment(t5_config(workers=2, **cfg)))
+        dumps = []
+        for report in reports:
+            d = report.to_dict()
+            d.pop("runtime_seconds")
+            dumps.append(json.dumps(d, sort_keys=True))
+        assert dumps[0] == dumps[1] == dumps[2]
 
 
 class TestFddJointCheck:

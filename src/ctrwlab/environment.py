@@ -16,7 +16,8 @@ for the power kernel.  Every read of the configuration goes through
 The window fixes a sampled configuration, and a walk that leaves it fails,
 but the memory held follows the span the reads reach: ``sample_config``
 streams the window's uniforms and keeps the points of its middle eighth,
-and a read beyond them draws the same uniforms again to widen the span.
+and the first read beyond them draws the same uniforms again and holds the
+whole window.
 """
 
 from __future__ import annotations
@@ -126,10 +127,11 @@ class PoissonConfig:
 
     ``PoissonConfig(points, lo, hi)`` holds the sorted ``points`` it is
     given.  A configuration that ``sample_config`` draws holds only the
-    points of a span of the window, and keeps the generator as it stood
-    before its uniforms: a read past the span draws the same uniforms again
-    and at least doubles the span.  The points are fixed either way; only
-    the share held grows, and in a forked worker it grows in that worker.
+    points of the middle ``_FIRST_SPAN`` of the window, and keeps the
+    generator as it stood before its uniforms: the first read past that
+    span draws the same uniforms again and holds the whole window.  The
+    points are fixed either way; only the share held grows, and in a forked
+    worker it grows in that worker's copy.
     """
 
     def __init__(self, points, lo: float, hi: float):
@@ -138,10 +140,26 @@ class PoissonConfig:
         self.lo = lo
         self.hi = hi
         self._held = np.asarray(points, dtype=float)
-        self.count = self._held.size
+        self._count = self._held.size
         self._span = (lo, hi)
         # the generator at the first uniform, while the span is not the window
         self._replay = None
+
+    @classmethod
+    def _sample(cls, lo: float, hi: float, rng: RandomSource) -> PoissonConfig:
+        """Draw the Poisson count and then its uniforms from ``rng``, holding
+        the points of the middle ``_FIRST_SPAN`` of [lo, hi]."""
+        config = cls(np.empty(0), lo, hi)
+        config._count = int(rng.poisson(hi - lo))
+        config._replay = copy.deepcopy(rng)
+        mid, half = 0.5 * (lo + hi), 0.5 * _FIRST_SPAN * (hi - lo)
+        config._hold(rng, (mid - half, mid + half))
+        return config
+
+    @property
+    def count(self) -> int:
+        """The number of points in the window."""
+        return self._count
 
     @property
     def points(self) -> np.ndarray:
@@ -151,14 +169,8 @@ class PoissonConfig:
     def between(self, a: float, b: float) -> np.ndarray:
         """The sorted points in [a, b], a range of the window."""
         if self._replay is not None and not (self._span[0] <= a and b <= self._span[1]):
-            mid = 0.5 * (self.lo + self.hi)
-            half = max(self._span[1] - self._span[0], mid - a, b - mid)
-            if half < 0.5 * (self.hi - self.lo):
-                span = (min(a, mid - half), max(b, mid + half))
-                self._hold(copy.deepcopy(self._replay), span)
-            else:
-                self._hold(self._replay, (self.lo, self.hi))
-                self._replay = None
+            self._hold(self._replay, (self.lo, self.hi))
+            self._replay = None
         pts = self._held
         return pts[np.searchsorted(pts, a, side="left") : np.searchsorted(pts, b, side="right")]
 
@@ -166,11 +178,11 @@ class PoissonConfig:
         """Hold, sorted, the points in ``span`` of the ``count`` uniforms
         that ``rng`` draws next, drawn ``_CHUNK`` at a time."""
         a, b = span
-        expected = self.count * min(1.0, (b - a) / (self.hi - self.lo)) if self.count else 0.0
+        expected = self._count * (b - a) / (self.hi - self.lo) if self._count else 0.0
         held = np.empty(int(expected + 8.0 * math.sqrt(expected)) + 1)
         n = 0
-        for start in range(0, self.count, _CHUNK):
-            u = rng.uniform(self.lo, self.hi, min(_CHUNK, self.count - start))
+        for start in range(0, self._count, _CHUNK):
+            u = rng.uniform(self.lo, self.hi, min(_CHUNK, self._count - start))
             u = u[(a <= u) & (u <= b)]
             if n + u.size > held.size:
                 held = np.resize(held, 2 * (n + u.size))
@@ -187,14 +199,8 @@ def sample_config(window: tuple[float, float], rng: RandomSource) -> PoissonConf
     ``rng`` gives the count and then the uniforms as one
     ``rng.uniform(lo, hi, count)`` would, and ends where that leaves it.
     The configuration holds the points of the middle ``_FIRST_SPAN`` of the
-    window, and more as reads reach past them."""
-    lo, hi = float(window[0]), float(window[1])
-    config = PoissonConfig(np.empty(0), lo, hi)
-    config.count = int(rng.poisson(hi - lo))
-    config._replay = copy.deepcopy(rng)
-    mid, half = 0.5 * (lo + hi), 0.5 * _FIRST_SPAN * (hi - lo)
-    config._hold(rng, (mid - half, mid + half))
-    return config
+    window until a read reaches past them, and then the whole window."""
+    return PoissonConfig._sample(float(window[0]), float(window[1]), rng)
 
 
 def save_config(config: PoissonConfig, destination) -> None:
@@ -287,8 +293,9 @@ class ShotNoiseEnv:
 
     The kernel and the configuration's points never change, so it is safe
     to share across parallel path simulations in quenched mode.  Only the
-    span of points a sampled configuration holds widens as reads reach
-    further; each forked worker widens its own copy, to the same points.
+    share of the points a sampled configuration holds grows, to the whole
+    window once a read passes its first span; each forked worker grows its
+    own copy, to the same points.
     """
 
     kernel: Kernel

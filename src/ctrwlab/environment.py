@@ -11,7 +11,7 @@ phi(x - y)`` for a nonnegative kernel ``phi`` bounded by
 ``|x - y| <= cutoff_r``; the expected mass dropped is at most
 ``2 C cutoff_r^(-beta) / beta`` per unit intensity, below ``POWER_TAIL_TOL``
 for the power kernel.  Every read of the configuration goes through
-``ShotNoiseEnv.points_near``, which checks the window.
+``PoissonConfig.between``, which checks the window.
 
 The window fixes a sampled configuration, and a walk that leaves it fails,
 but the memory held follows the span the reads reach: ``sample_config``
@@ -123,11 +123,13 @@ _FIRST_SPAN = 1.0 / 8.0
 
 class PoissonConfig:
     """A homogeneous unit-intensity Poisson configuration restricted to the
-    window [lo, hi]: ``count`` points, read sorted through ``between``.
+    window [lo, hi]: ``count`` points, read sorted through ``between``, the
+    one reader of the points and the one check of the window.
 
-    ``PoissonConfig(points, lo, hi)`` holds the sorted ``points`` it is
-    given.  A configuration that ``sample_config`` draws holds only the
-    points of the middle ``_FIRST_SPAN`` of the window, and keeps the
+    ``PoissonConfig(points, lo, hi)`` holds a sorted copy of ``points``; a
+    window that is not ``lo <= hi``, or a point outside it, raises
+    DomainError.  A configuration that ``sample_config`` draws holds only
+    the points of the middle ``_FIRST_SPAN`` of the window, and keeps the
     generator as it stood before its uniforms: the first read past that
     span draws the same uniforms again and holds the whole window.  The
     points are fixed either way; only the share held grows, and in a forked
@@ -135,12 +137,16 @@ class PoissonConfig:
     """
 
     def __init__(self, points, lo: float, hi: float):
-        if lo > hi:
-            raise DomainError("window must satisfy lo <= hi")
+        # written so that a nan end or point fails
+        if not lo <= hi:
+            raise DomainError(f"window must satisfy lo <= hi: [{lo:.17g}, {hi:.17g}]")
+        held = np.sort(np.asarray(points, dtype=float), axis=None)
+        if held.size and not (lo <= held[0] and held[-1] <= hi):
+            raise DomainError(f"config points must lie in the window [{lo:.17g}, {hi:.17g}]")
         self.lo = lo
         self.hi = hi
-        self._held = np.asarray(points, dtype=float)
-        self._count = self._held.size
+        self._held = held
+        self._count = held.size
         self._span = (lo, hi)
         # the generator at the first uniform, while the span is not the window
         self._replay = None
@@ -167,7 +173,13 @@ class PoissonConfig:
         return self.between(self.lo, self.hi)
 
     def between(self, a: float, b: float) -> np.ndarray:
-        """The sorted points in [a, b], a range of the window."""
+        """The sorted points in [a, b].  A range that leaves the window
+        raises BoundaryError: points beyond it were never sampled."""
+        # written so that a nan end fails
+        if not (self.lo <= a and b <= self.hi):
+            raise BoundaryError(
+                f"range [{a:.6g}, {b:.6g}] leaves the window [{self.lo:.6g}, {self.hi:.6g}]"
+            )
         if self._replay is not None and not (self._span[0] <= a and b <= self._span[1]):
             self._hold(self._replay, (self.lo, self.hi))
             self._replay = None
@@ -214,8 +226,8 @@ def save_config(config: PoissonConfig, destination) -> None:
 
 def load_config(source) -> PoissonConfig:
     """Read a configuration in the ``save_config`` format.  The points may
-    come in any order; they are sorted.  A point outside the window, or a
-    line that is not a number, raises DomainError."""
+    come in any order (``PoissonConfig`` sorts them and rejects one outside
+    the window); a line that is not a number raises DomainError."""
     points = []
     lo = hi = None
     with open(source) as fh:
@@ -232,10 +244,7 @@ def load_config(source) -> PoissonConfig:
                 raise DomainError(f"config line {number}: {exc}") from exc
     if lo is None or hi is None:
         raise DomainError("config file lacks a window header line")
-    points = np.sort(np.asarray(points, dtype=float))
-    if points.size and not (lo <= points[0] and points[-1] <= hi):
-        raise DomainError(f"config points must lie in the window [{lo:.17g}, {hi:.17g}]")
-    return PoissonConfig(points=points, lo=lo, hi=hi)
+    return PoissonConfig(points, lo, hi)
 
 
 def _checked_inverse(vals: np.ndarray) -> np.ndarray:
@@ -292,29 +301,16 @@ class ShotNoiseEnv:
     """Lambda(x) = exp(-E(x)) over a fixed Poisson configuration.
 
     The kernel and the configuration's points never change, so it is safe
-    to share across parallel path simulations in quenched mode.  Only the
-    share of the points a sampled configuration holds grows, to the whole
-    window once a read passes its first span; each forked worker grows its
-    own copy, to the same points.
+    to share across parallel path simulations in quenched mode.  Every read
+    of the points is ``config.between`` over the sites widened by the
+    cutoff, so a site within the cutoff of the window's edge raises
+    BoundaryError.  Only the share of the points a sampled configuration
+    holds grows, to the whole window once a read passes its first span;
+    each forked worker grows its own copy, to the same points.
     """
 
     kernel: Kernel
     config: PoissonConfig
-
-    def points_near(self, lo: float, hi: float) -> np.ndarray:
-        """The sorted configuration points within the cutoff of [lo, hi].
-
-        A range within the cutoff of the window's edge raises BoundaryError:
-        points beyond the window that would reach it were never sampled."""
-        r = self.kernel.cutoff_r
-        cfg = self.config
-        # written so that a nan end fails
-        if not (cfg.lo + r <= lo and hi <= cfg.hi - r):
-            raise BoundaryError(
-                f"query range [{lo:.6g}, {hi:.6g}] is within cutoff "
-                f"{r:.6g} of the window [{cfg.lo:.6g}, {cfg.hi:.6g}]"
-            )
-        return cfg.between(lo - r, hi + r)
 
     def potential_many(self, x: np.ndarray) -> np.ndarray:
         """E(x) truncated to |x - y| <= cutoff_r, vectorized over x.
@@ -332,7 +328,7 @@ class ShotNoiseEnv:
         n = x.size
         order = np.argsort(x, axis=None)
         xs = x.ravel()[order]
-        near = self.points_near(xs[0], xs[-1])
+        near = self.config.between(xs[0] - r, xs[-1] + r)
         # near[lo[i]:hi[i]] are the points within r of xs[i]: a point lies
         # below the i-th window once i reaches its rank among the window
         # edges, so counting ranks gives every bound in one pass
@@ -533,7 +529,7 @@ def _kinks(env: EnvSpec, lo: float, hi: float) -> np.ndarray:
     if not isinstance(env, ShotNoiseEnv):
         return np.empty(0)
     r = env.kernel.cutoff_r
-    pts = env.points_near(lo, hi)
+    pts = env.config.between(lo - r, hi + r)
     kinks = np.concatenate([pts, pts - r, pts + r])
     return kinks[(kinks > lo) & (kinks < hi)]
 

@@ -370,20 +370,15 @@ def suggest_window_halfwidth(
     by a constant multiple of the marginal stable tail.  The width grows
     with t and with ``n_paths``, and the configuration sampled in it has a
     new Poisson count and new points, so one ``env_config_seed`` gives
-    different configurations at different replicate counts.
+    different configurations at different replicate counts.  The tail
+    constant needs alpha < 2, which ``validate`` requires of T5.
     """
     alpha = jump.alpha_attr
     n_max = t / wait_mu + 6.0 * math.sqrt(t / wait_mu) + 100.0
     scale = jump.sigma_attr * n_max ** (1.0 / alpha)
     per_path = max(_ESCAPE_PROBABILITY / max(n_paths, 1), 1e-12)
-    if alpha >= 2.0:
-        # standard law at alpha=2 is N(0, 2); crude sup bound via 4 tails
-        z = math.sqrt(2.0) * math.sqrt(2.0 * math.log(4.0 / per_path))
-    else:
-        tail_const = 1.0 / (
-            math.gamma(1.0 - alpha) * math.cos(math.pi * alpha / 2.0)
-        )
-        z = (4.0 * tail_const / per_path) ** (1.0 / alpha)
+    tail_const = 1.0 / (math.gamma(1.0 - alpha) * math.cos(math.pi * alpha / 2.0))
+    z = (4.0 * tail_const / per_path) ** (1.0 / alpha)
     return scale * z + cutoff_r + 1.0
 
 
@@ -412,7 +407,6 @@ def quenched_integral(g, env: ShotNoiseEnv, points=()) -> float:
     hi = float(np.max(np.abs(points), initial=1.0))
     while tail(-math.inf, -hi) + tail(hi, math.inf) > tol:
         hi *= 2.0
-        env.points_near(-hi, hi)
     return _integral_g_over_lambda(g, env, points, -hi, hi)
 
 

@@ -115,12 +115,6 @@ def local_time_zero(path: LevyPath, eps: float, u_grid) -> list[LocalTimeEstimat
     ]
 
 
-def default_eps(alpha: float, grid_n: int, horizon_u: float) -> float:
-    """10x the grid resolution scale, per the precision precondition."""
-    dt = horizon_u / grid_n
-    return 10.0 * dt ** (1.0 / alpha)
-
-
 def local_time_constant(alpha: float, beta: float) -> float:
     """The constant u1 in L_u = u1 (u/S)^gamma, S positive gamma-stable with
     E exp(-lam S) = exp(-lam^gamma).

@@ -128,6 +128,29 @@ class TestPoissonConfig:
         assert np.all(np.diff(cfg.points) >= 0)
         assert np.all((cfg.points >= -5.0) & (cfg.points <= 5.0))
 
+    def test_holds_a_sorted_copy_of_explicit_points(self):
+        given = np.array([5.0, -5.0, 0.0])
+        cfg = PoissonConfig(given, -10.0, 10.0)
+        given[:] = 7.0
+        np.testing.assert_array_equal(cfg.points, [-5.0, 0.0, 5.0])
+        assert cfg.count == cfg.points.size == 3
+
+    @pytest.mark.parametrize(
+        "points, lo, hi",
+        [([50.0], -10.0, 10.0), ([-10.5], -10.0, 10.0), ([0.0, math.nan], -10.0, 10.0),
+         ([], math.nan, 10.0), ([], -10.0, math.nan), ([], 10.0, -10.0)],
+        ids=["above", "below", "nan-point", "nan-lo", "nan-hi", "reversed"],
+    )
+    def test_rejects_a_point_outside_the_window(self, points, lo, hi):
+        with pytest.raises(DomainError, match="window"):
+            PoissonConfig(points, lo, hi)
+
+    @pytest.mark.parametrize("a, b", [(-10.5, 0.0), (0.0, 10.5), (math.nan, 0.0), (0.0, math.nan)])
+    def test_between_rejects_a_range_past_the_window(self, a, b):
+        cfg = PoissonConfig([0.0], -10.0, 10.0)
+        with pytest.raises(BoundaryError, match="window"):
+            cfg.between(a, b)
+
     def test_disjoint_counts_uncorrelated(self):
         rng = spawn_rng(SEED, "indep", 0)
         left, right = [], []
@@ -258,13 +281,21 @@ class TestPotential:
         with pytest.raises(BoundaryError, match="window"):
             env.potential_many(np.array([3.0, -2.0, 9.5, 0.5, -4.0]))
 
-    def test_points_near_slices_within_the_cutoff(self):
+    def test_sites_read_the_points_within_the_cutoff(self):
         pts = np.array([-5.0, -2.5, -1.0, 0.0, 2.0, 3.5, 6.0])
         env = ShotNoiseEnv(kernel=bump_kernel(), config=PoissonConfig(pts, -10.0, 10.0))
-        np.testing.assert_array_equal(env.points_near(-1.5, 2.5), [-2.5, -1.0, 0.0, 2.0, 3.5])
+        np.testing.assert_array_equal(env.config.between(-2.5, 3.5), [-2.5, -1.0, 0.0, 2.0, 3.5])
+        # sites within the cutoff of the window's edge
         for lo, hi in [(-9.5, 0.0), (0.0, 9.5), (math.nan, 0.0)]:
             with pytest.raises(BoundaryError, match="window"):
-                env.points_near(lo, hi)
+                env.potential_many(np.array([lo, hi]))
+
+    def test_unsorted_points_give_the_sorted_potential(self):
+        xs = np.array([-5.0, 0.0, 5.0])
+        unsorted = ShotNoiseEnv(bump_kernel(1.0), PoissonConfig([5.0, -5.0, 0.0], -10.0, 10.0))
+        ordered = ShotNoiseEnv(bump_kernel(1.0), PoissonConfig([-5.0, 0.0, 5.0], -10.0, 10.0))
+        assert np.array_equal(unsorted.potential_many(xs), [1.0, 1.0, 1.0])
+        assert np.array_equal(unsorted.potential_many(xs), ordered.potential_many(xs))
 
     def test_inverse_intensity_at_least_one(self):
         # phi >= 0 forces 1/Lambda = exp(potential) >= 1 everywhere

@@ -19,7 +19,7 @@ from ctrwlab.environment import (
     power_kernel,
     sample_config,
 )
-from ctrwlab.errors import DomainError, ExperimentConfigError, QuadratureError
+from ctrwlab.errors import BoundaryError, DomainError, ExperimentConfigError, QuadratureError
 from ctrwlab.harness import (
     KINDS,
     ExperimentConfig,
@@ -203,6 +203,10 @@ class TestValidation:
         with pytest.raises(ExperimentConfigError):
             small_config(theorem="T5", jump=SymmetricPareto(1.5)).validate()
 
+    def test_t5_requires_heavy_tail(self):
+        with pytest.raises(ExperimentConfigError, match="alpha < 2"):
+            small_config(theorem="T5", kernel=bump_kernel()).validate()  # alpha=2
+
     def test_bad_u_grid(self):
         with pytest.raises(ExperimentConfigError):
             small_config(u_grid=(0.5, 0.25)).validate()
@@ -366,6 +370,12 @@ class TestRunExperiment:
         )
         tails = 0.5 * math.sqrt(math.pi) * (math.erfc(1.0 - y) + math.erfc(1.0 + y))
         assert got == pytest.approx(inner + tails, rel=1e-12)
+
+    def test_quenched_integral_past_the_window_raises(self):
+        # exp(-x^2) needs |x| <= 8, which a window of half-width 5 does not cover
+        env = ShotNoiseEnv(kernel=bump_kernel(), config=PoissonConfig([0.0], -5.0, 5.0))
+        with pytest.raises(BoundaryError, match="window"):
+            quenched_integral(lambda x: np.exp(-(x**2)), env)
 
     @pytest.mark.parametrize("theorem", ["T2", "T3", "T5"])
     def test_unresolvable_functional_raises(self, theorem):

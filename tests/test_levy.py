@@ -9,7 +9,6 @@ from ctrwlab.distances import ks_critical_value, ks_two_sample
 from ctrwlab.errors import DomainError
 from ctrwlab.levy import (
     LevyPath,
-    default_eps,
     local_time_constant,
     local_time_zero,
     sample_limit_rv,
@@ -224,7 +223,8 @@ class TestExactLocalTime:
         # estimates at alpha=2, per u, under the 99% critical value
         n_grid, n_exact = 600, 4000
         grid_n = 10**5
-        eps = default_eps(2.0, grid_n, 1.0)
+        # 10x the grid resolution scale dt^(1/alpha)
+        eps = 10.0 * (1.0 / grid_n) ** 0.5
         grid = np.array(
             [
                 [
@@ -258,11 +258,3 @@ class TestSampleLimitRv:
         out = sample_limit_rv(1.5, 0.5, 2.5, [0.5, 1.0], spawn_rng(SEED, "c"))
         local = sample_local_time_exact(1.5, 0.5, [0.5, 1.0], spawn_rng(SEED, "c"))
         assert np.allclose(out, 2.5 * local, rtol=1e-14)
-
-    def test_default_eps_uses_increment_scale(self):
-        assert default_eps(2.0, 10**5, 1.0) == pytest.approx(
-            10.0 * (1e-5) ** 0.5, rel=1e-12
-        )
-        assert default_eps(1.5, 10**5, 1.0) == pytest.approx(
-            10.0 * (1e-5) ** (2.0 / 3.0), rel=1e-12
-        )

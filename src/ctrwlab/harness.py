@@ -426,31 +426,24 @@ def _integral_f(f, points) -> float:
     return _quad_line(f, "f", points)
 
 
-# Worker context shared with forked processes; set immediately before the
-# pool is created and read-only afterwards.
+# Worker context (cfg, path_env, u_grid, limit_constant) shared with forked
+# processes; set immediately before the pool is created and read-only
+# afterwards.
 _WORKER_CTX: dict = {}
 
 
 def _functional_task(k: int):
-    ctx = _WORKER_CTX["ctx"]
-    rng = spawn_rng(ctx["master_seed"], "walk", k)
-    path = simulate_skeleton(
-        ctx["jump"],
-        ctx["wait"],
-        ctx["t"],
-        rng,
-        env=ctx["path_env"],
-    )
-    return normalized_functional(
-        path, ctx["functional"], ctx["jump"], ctx["t"], ctx["u_grid"]
-    )
+    cfg, path_env, u_grid, _ = _WORKER_CTX["ctx"]
+    rng = spawn_rng(cfg.master_seed, "walk", k)
+    path = simulate_skeleton(cfg.jump, cfg.wait, cfg.t, rng, env=path_env)
+    return normalized_functional(path, cfg.functional, cfg.jump, cfg.t, u_grid)
 
 
 def _limit_task(j: int):
-    ctx = _WORKER_CTX["ctx"]
-    rng = spawn_rng(ctx["master_seed"], "limit", j)
+    cfg, _, u_grid, limit_constant = _WORKER_CTX["ctx"]
+    rng = spawn_rng(cfg.master_seed, "limit", j)
     return sample_limit_rv(
-        ctx["alpha"], ctx["beta"], ctx["limit_constant"], ctx["u_grid"], rng
+        cfg.jump.alpha_attr, cfg.jump.beta_attr, limit_constant, u_grid, rng
     )
 
 
@@ -555,19 +548,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         f_integral = _integral_f(spec.f, spec.breakpoints)
     limit_constant = mu ** (1.0 / alpha) * f_integral * env_constant
 
-    ctx = {
-        "master_seed": cfg.master_seed,
-        "jump": cfg.jump,
-        "wait": cfg.wait,
-        "t": cfg.t,
-        "u_grid": u_grid,
-        "functional": cfg.functional,
-        "path_env": path_env,
-        "alpha": alpha,
-        "beta": beta,
-        "limit_constant": limit_constant,
-    }
-    _WORKER_CTX["ctx"] = ctx
+    _WORKER_CTX["ctx"] = (cfg, path_env, u_grid, limit_constant)
     try:
         func_matrix = _map_tasks(_functional_task, cfg.replicates, cfg.workers)
         # Exact limit draws cost tens of microseconds each: a second pool

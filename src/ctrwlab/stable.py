@@ -17,7 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -94,52 +94,10 @@ def sample_stable(params: StableParams, rng: RandomSource, size):
     return params.location_a + params.scale_c ** (1.0 / alpha) * x
 
 
-def _pareto_limit_scale(alpha: float, x_min: float) -> float:
-    # For tails P(|xi| > x) = (x / x_min)^(-alpha) the normalized sums
-    # converge to the stable law with scale c = x_min^alpha G(1-alpha)
-    # cos(pi alpha / 2); sigma is its alpha-th root.
-    c = x_min**alpha * math.gamma(1.0 - alpha) * math.cos(math.pi * alpha / 2.0)
-    return c ** (1.0 / alpha)
-
-
-@dataclass(frozen=True)
-class SymmetricPareto:
-    """Centered symmetric law with density (alpha/2) x_min^alpha |x|^(-alpha-1)
-    on |x| >= x_min; exact power tail P(|xi| > x) = (x/x_min)^(-alpha)."""
-
-    alpha: float = 1.5
-    x_min: float = 1.0
-
-    def __post_init__(self):
-        if not 1.0 < self.alpha < 2.0:
-            raise DomainError(
-                f"Pareto tail index must be in (1, 2) for normal attraction, "
-                f"got {self.alpha}"
-            )
-        if not self.x_min > 0.0:
-            raise DomainError(f"x_min must be positive, got {self.x_min}")
-
-    has_density = True
-
-    @property
-    def alpha_attr(self) -> float:
-        return self.alpha
-
-    @property
-    def sigma_attr(self) -> float:
-        return _pareto_limit_scale(self.alpha, self.x_min)
-
-    beta_attr = 0.0
-
-    def sample(self, rng: RandomSource, size):
-        magnitude = self.x_min * rng.random(size) ** (-1.0 / self.alpha)
-        sign = rng.integers(0, 2, size) * 2.0 - 1.0
-        return sign * magnitude
-
-
 @dataclass(frozen=True)
 class SkewedPareto:
-    """Two-sided Pareto putting mass p_right on the positive branch, centered
+    """Two-sided Pareto with exact power tail P(|xi| > x) = (x/x_min)^(-alpha)
+    on |x| >= x_min, putting mass p_right on the positive branch, centered
     by an explicit shift."""
 
     alpha: float = 1.5
@@ -152,8 +110,8 @@ class SkewedPareto:
                 f"Pareto tail index must be in (1, 2) for normal attraction, "
                 f"got {self.alpha}"
             )
-        if not self.x_min > 0.0:
-            raise DomainError(f"x_min must be positive, got {self.x_min}")
+        if not 0.0 < self.x_min < math.inf:
+            raise DomainError(f"x_min must be positive and finite, got {self.x_min}")
         if not 0.0 <= self.p_right <= 1.0:
             raise DomainError(f"p_right must be in [0, 1], got {self.p_right}")
 
@@ -170,7 +128,12 @@ class SkewedPareto:
 
     @property
     def sigma_attr(self) -> float:
-        return _pareto_limit_scale(self.alpha, self.x_min)
+        # The normalized sums converge to the stable law with scale
+        # c = x_min^alpha G(1-alpha) cos(pi alpha / 2); sigma is its
+        # alpha-th root.
+        alpha = self.alpha
+        c = self.x_min**alpha * math.gamma(1.0 - alpha) * math.cos(math.pi * alpha / 2.0)
+        return c ** (1.0 / alpha)
 
     @property
     def beta_attr(self) -> float:
@@ -185,14 +148,28 @@ class SkewedPareto:
 
 
 @dataclass(frozen=True)
+class SymmetricPareto(SkewedPareto):
+    """The skewed Pareto at p_right = 1/2, with density (alpha/2) x_min^alpha
+    |x|^(-alpha-1) on |x| >= x_min and no centering shift.  Its signs are a
+    fair coin drawn as integers, a stream of its own."""
+
+    p_right: float = field(default=0.5, init=False, repr=False)
+
+    def sample(self, rng: RandomSource, size):
+        magnitude = self.x_min * rng.random(size) ** (-1.0 / self.alpha)
+        sign = rng.integers(0, 2, size) * 2.0 - 1.0
+        return sign * magnitude
+
+
+@dataclass(frozen=True)
 class Gaussian:
     """Centered normal jumps; normal attraction to the alpha=2 standard law."""
 
     variance: float = 1.0
 
     def __post_init__(self):
-        if not self.variance > 0.0:
-            raise DomainError(f"variance must be positive, got {self.variance}")
+        if not 0.0 < self.variance < math.inf:
+            raise DomainError(f"variance must be positive and finite, got {self.variance}")
 
     has_density = True
     alpha_attr = 2.0
@@ -217,8 +194,10 @@ class Lattice:
     weights: tuple[tuple[int, float], ...] = ((-1, 0.5), (1, 0.5))
 
     def __post_init__(self):
-        if not self.b > 0.0:
-            raise DomainError(f"lattice spacing b must be positive, got {self.b}")
+        if not 0.0 < self.b < math.inf:
+            raise DomainError(
+                f"lattice spacing b must be positive and finite, got {self.b}"
+            )
         if not self.weights:
             raise DomainError("weight table must be nonempty")
         total = sum(p for _, p in self.weights)

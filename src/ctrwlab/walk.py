@@ -33,8 +33,8 @@ class Exponential:
     mean: float = 1.0
 
     def __post_init__(self):
-        if not self.mean > 0.0:
-            raise DomainError(f"mean must be positive, got {self.mean}")
+        if not 0.0 < self.mean < math.inf:
+            raise DomainError(f"mean must be positive and finite, got {self.mean}")
 
     @property
     def mu(self) -> float:
@@ -52,12 +52,13 @@ class ParetoWait:
     x_min: float = 0.5
 
     def __post_init__(self):
-        if not self.index > 1.0:
+        if not 1.0 < self.index < math.inf:
             raise DomainError(
-                f"wait index must exceed 1 for an integrable wait, got {self.index}"
+                f"wait index must exceed 1 for an integrable wait and be finite, "
+                f"got {self.index}"
             )
-        if not self.x_min > 0.0:
-            raise DomainError(f"x_min must be positive, got {self.x_min}")
+        if not 0.0 < self.x_min < math.inf:
+            raise DomainError(f"x_min must be positive and finite, got {self.x_min}")
 
     @property
     def mu(self) -> float:
@@ -73,8 +74,11 @@ class GammaWait:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.shape > 0.0 and self.scale > 0.0):
-            raise DomainError("shape and scale must be positive")
+        if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
+            raise DomainError(
+                f"shape and scale must be positive and finite, "
+                f"got {self.shape}, {self.scale}"
+            )
 
     @property
     def mu(self) -> float:
@@ -89,8 +93,8 @@ class DeterministicWait:
     mean: float = 1.0
 
     def __post_init__(self):
-        if not self.mean > 0.0:
-            raise DomainError(f"mean must be positive, got {self.mean}")
+        if not 0.0 < self.mean < math.inf:
+            raise DomainError(f"mean must be positive and finite, got {self.mean}")
 
     @property
     def mu(self) -> float:

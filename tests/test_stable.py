@@ -174,6 +174,23 @@ class TestJumpLaws:
         assert beta == SymmetricPareto(1.5).beta_attr == 0.0
         assert math.copysign(1.0, beta) == 1.0
 
+    @pytest.mark.parametrize("alpha, x_min", [(1.5, 1.0), (1.2, 0.3)])
+    def test_symmetric_pareto_is_the_skewed_law_with_its_own_stream(self, alpha, x_min):
+        law = SymmetricPareto(alpha, x_min)
+        skewed = SkewedPareto(alpha, x_min, 0.5)
+        assert isinstance(law, SkewedPareto)
+        assert law.alpha_attr == skewed.alpha_attr
+        assert law.sigma_attr == skewed.sigma_attr
+        assert law.beta_attr == skewed.beta_attr == 0.0
+        assert math.copysign(1.0, law.beta_attr) == 1.0
+        # magnitudes, then integer fair-coin signs: not the skewed uniform draw
+        rng, twin = spawn_rng(SEED, "twin"), spawn_rng(SEED, "twin")
+        n = 10_000
+        magnitude = x_min * twin.random(n) ** (-1.0 / alpha)
+        sign = twin.integers(0, 2, n) * 2.0 - 1.0
+        np.testing.assert_array_equal(law.sample(rng, n), sign * magnitude)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_pareto_index_out_of_range(self):
         with pytest.raises(DomainError):
             SymmetricPareto(2.0)

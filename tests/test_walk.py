@@ -16,7 +16,7 @@ from ctrwlab.environment import (
 )
 from ctrwlab.errors import DivergentSumError, DomainError, JumpCapError, SimulationError
 from ctrwlab.rng import spawn_rng
-from ctrwlab.stable import Gaussian, Lattice, SymmetricPareto, rademacher
+from ctrwlab.stable import Gaussian, Lattice, SkewedPareto, SymmetricPareto, rademacher
 from ctrwlab.walk import (
     DeterministicWait,
     Exponential,
@@ -61,6 +61,25 @@ class TestWaitLaws:
             ParetoWait(1.0)
         with pytest.raises(DomainError):
             Exponential(0.0)
+
+    @pytest.mark.parametrize(
+        "law, key",
+        [
+            (SymmetricPareto, "x_min"),
+            (SkewedPareto, "x_min"),
+            (Gaussian, "variance"),
+            (Lattice, "b"),
+            (Exponential, "mean"),
+            (DeterministicWait, "mean"),
+            (ParetoWait, "index"),
+            (ParetoWait, "x_min"),
+            (GammaWait, "shape"),
+            (GammaWait, "scale"),
+        ],
+    )
+    def test_laws_reject_an_infinite_parameter(self, law, key):
+        with pytest.raises(DomainError, match="finite"):
+            law(**{key: math.inf})
 
 
 class TestSimulateSkeleton:

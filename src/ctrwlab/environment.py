@@ -52,8 +52,11 @@ class Kernel:
     name: str = "custom"
 
     def __post_init__(self):
-        if not (self.bound_c > 0.0 and self.decay_beta > 0.0 and self.cutoff_r > 0.0):
-            raise DomainError("bound_c, decay_beta and cutoff_r must be positive")
+        if not all(0.0 < x < math.inf for x in (self.bound_c, self.decay_beta, self.cutoff_r)):
+            raise DomainError(
+                f"bound_c, decay_beta and cutoff_r must be positive and finite, got "
+                f"{self.bound_c}, {self.decay_beta}, {self.cutoff_r}"
+            )
         xs = np.linspace(-2.0 * self.cutoff_r, 2.0 * self.cutoff_r, 2001)
         vals = np.asarray(self.phi(xs), dtype=float)
         envelope = self.bound_c / (1.0 + np.abs(xs) ** (1.0 + self.decay_beta))
@@ -70,6 +73,11 @@ class Kernel:
         return 2.0 * self.bound_c * self.cutoff_r**-self.decay_beta / self.decay_beta
 
 
+def _check_amplitude(amplitude: float) -> None:
+    if not 0.0 < amplitude < math.inf:
+        raise DomainError(f"kernel amplitude must be positive and finite, got {amplitude}")
+
+
 # tail_tol: the power kernel's cutoff keeps its truncation bound below this.
 POWER_TAIL_TOL = 1e-6
 
@@ -77,9 +85,10 @@ POWER_TAIL_TOL = 1e-6
 def power_kernel(amplitude: float = math.log(2.0), decay_beta: float = 3.0) -> Kernel:
     """phi(x) = A / (1 + |x|^(1+beta)), cutoff sized so the truncation
     bound stays below ``POWER_TAIL_TOL``."""
-    if not (decay_beta > 0.0 and POWER_TAIL_TOL > 0.0):
-        raise DomainError(f"decay_beta and tail_tol must be positive: {decay_beta}, "
-                          f"{POWER_TAIL_TOL}")
+    _check_amplitude(amplitude)
+    if not (0.0 < decay_beta < math.inf and POWER_TAIL_TOL > 0.0):
+        raise DomainError(f"decay_beta and tail_tol must be positive, and decay_beta "
+                          f"finite: {decay_beta}, {POWER_TAIL_TOL}")
     try:
         cutoff = (2.0 * amplitude / (decay_beta * POWER_TAIL_TOL)) ** (1.0 / decay_beta)
     except (OverflowError, ZeroDivisionError):
@@ -101,6 +110,7 @@ def power_kernel(amplitude: float = math.log(2.0), decay_beta: float = 3.0) -> K
 
 def bump_kernel(amplitude: float = math.log(2.0)) -> Kernel:
     """Compactly supported phi(x) = A max(0, 1-|x|)^2; truncation is exact."""
+    _check_amplitude(amplitude)
 
     def phi(x):
         return amplitude * np.clip(1.0 - np.abs(x), 0.0, None) ** 2
@@ -283,6 +293,10 @@ def periodic_env(
     mean_level: float = 2.0, amplitude: float = 1.0, frequency: float = 1.0
 ) -> DeterministicEnv:
     """Environment with 1/Lambda(x) = mean_level + amplitude sin(2 pi f x)."""
+    if not 0.0 < mean_level < math.inf:
+        raise DomainError(f"mean_level must be positive and finite, got {mean_level}")
+    if not math.isfinite(frequency):
+        raise DomainError(f"frequency must be finite, got {frequency}")
     if not mean_level > abs(amplitude):
         raise DomainError("need mean_level > |amplitude| so Lambda stays positive")
 

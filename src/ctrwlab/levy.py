@@ -62,7 +62,8 @@ def simulate_levy(
         raise DomainError(f"horizon_u must be positive, got {horizon_u}")
     params = StableParams(alpha, beta)  # standard law; dt enters as a scale
     dt = horizon_u / grid_n
-    increments = dt ** (1.0 / alpha) * sample_stable(params, rng, grid_n)
+    increments = sample_stable(params, rng, grid_n)
+    increments *= dt ** (1.0 / alpha)
     values = np.empty(grid_n + 1)
     values[0] = 0.0
     np.cumsum(increments, out=values[1:])
@@ -106,8 +107,8 @@ def local_time_zero(path: LevyPath, eps: float, u_grid) -> list[LocalTimeEstimat
     if np.any(u < 0.0) or np.any(u > path.horizon_u + 1e-12):
         raise DomainError("u_grid must lie within [0, horizon_u]")
     occupancy = np.abs(path.values) <= eps
-    cum = np.concatenate(([0], np.cumsum(occupancy)))
-    counts = cum[np.searchsorted(path.times, u, side="right")]
+    ends = np.searchsorted(path.times, u, side="right")
+    counts = np.array([np.count_nonzero(occupancy[:end]) for end in ends])
     values = dt * counts / (2.0 * eps)
     return [
         LocalTimeEstimate(u=float(ui), eps=eps, value=float(vi), warning=warning)

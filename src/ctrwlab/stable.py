@@ -12,6 +12,10 @@ Conventions used throughout the package:
 * Jump laws are centered by construction and carry ``(alpha_attr,
   sigma_attr, beta_attr)`` such that ``S_n / (sigma_attr n^(1/alpha))``
   converges to the standard law with skewness ``beta_attr``.
+* Every jump and wait law draws with ``sample(rng, size, out=None)``: the
+  draws go into ``out`` when it is given (a C-contiguous float array of
+  shape ``size``), which is returned, and they are the same draws, from the
+  same stream, either way.
 """
 
 from __future__ import annotations
@@ -24,6 +28,11 @@ import numpy as np
 
 from .errors import DomainError
 from .rng import RandomSource
+
+
+# Entries per piece where a block is transformed or summed a piece at a time:
+# 64 KiB of doubles, which stays in cache and below glibc's mmap threshold.
+PIECE = 8192
 
 
 def _tan_half_pi(alpha: float) -> float:
@@ -79,7 +88,10 @@ def sample_stable(params: StableParams, rng: RandomSource, size):
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
     w = rng.standard_exponential(size)
     if alpha == 2.0:
-        x = 2.0 * np.sin(u) * np.sqrt(w)
+        # 2 sin(u) sqrt(w), in u's array
+        x = np.sin(u, out=u)
+        x *= 2.0
+        x *= np.sqrt(w, out=w)
     else:
         # chf convention carries +i beta; the transform -i
         zeta = -params.beta * _tan_half_pi(alpha)
@@ -91,7 +103,9 @@ def sample_stable(params: StableParams, rng: RandomSource, size):
             / np.cos(u) ** (1.0 / alpha)
             * (np.cos(u - alpha * (u + theta0)) / w) ** ((1.0 - alpha) / alpha)
         )
-    return params.location_a + params.scale_c ** (1.0 / alpha) * x
+    x *= params.scale_c ** (1.0 / alpha)
+    x += params.location_a
+    return x
 
 
 @dataclass(frozen=True)
@@ -141,10 +155,21 @@ class SkewedPareto:
         # (so +0.0 at p = 1/2)
         return 1.0 - 2.0 * self.p_right
 
-    def sample(self, rng: RandomSource, size):
-        magnitude = self.x_min * rng.random(size) ** (-1.0 / self.alpha)
-        sign = np.where(rng.random(size) < self.p_right, 1.0, -1.0)
-        return sign * magnitude - self.centering_shift
+    def sample(self, rng: RandomSource, size, out=None):
+        out = rng.random(size, out=out)
+        out **= -1.0 / self.alpha
+        out *= self.x_min
+        # every magnitude, then every sign: the signs are drawn a piece at
+        # a time, which draws the same stream
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, PIECE):
+            piece = flat[start : start + PIECE]
+            np.negative(piece, out=piece, where=self._negative(rng, piece.size))
+        out -= self.centering_shift
+        return out
+
+    def _negative(self, rng: RandomSource, n: int) -> np.ndarray:
+        return rng.random(n) >= self.p_right
 
 
 @dataclass(frozen=True)
@@ -155,10 +180,10 @@ class SymmetricPareto(SkewedPareto):
 
     p_right: float = field(default=0.5, init=False, repr=False)
 
-    def sample(self, rng: RandomSource, size):
-        magnitude = self.x_min * rng.random(size) ** (-1.0 / self.alpha)
-        sign = rng.integers(0, 2, size) * 2.0 - 1.0
-        return sign * magnitude
+    def _negative(self, rng: RandomSource, n: int) -> np.ndarray:
+        # an even PIECE keeps the integer stream whole: each 64-bit word
+        # gives two coins
+        return rng.integers(0, 2, n) == 0
 
 
 @dataclass(frozen=True)
@@ -180,8 +205,10 @@ class Gaussian:
         # the standard law at alpha=2 has chf exp(-x^2), i.e. variance 2
         return math.sqrt(self.variance / 2.0)
 
-    def sample(self, rng: RandomSource, size):
-        return math.sqrt(self.variance) * rng.standard_normal(size)
+    def sample(self, rng: RandomSource, size, out=None):
+        out = rng.standard_normal(size, out=out)
+        out *= math.sqrt(self.variance)
+        return out
 
 
 @dataclass(frozen=True)
@@ -238,11 +265,16 @@ class Lattice:
             return False
         return math.gcd(*(k + n for n, _ in self.weights)) == 1
 
-    def sample(self, rng: RandomSource, size):
+    def sample(self, rng: RandomSource, size, out=None):
         values = np.array([self.offset + self.b * k for k, _ in self.weights])
         cum = np.cumsum([p for _, p in self.weights])
-        idx = np.searchsorted(cum, rng.random(size), side="right")
-        return values[np.minimum(idx, len(values) - 1)]
+        out = rng.random(size, out=out)
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, PIECE):
+            piece = flat[start : start + PIECE]
+            # a uniform past the table's float sum takes the last value
+            values.take(np.searchsorted(cum, piece, side="right"), out=piece, mode="clip")
+        return out
 
 
 def rademacher() -> Lattice:

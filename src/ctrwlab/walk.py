@@ -15,15 +15,16 @@ clock; no quadrature is involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Union
+import sys
+import threading
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import DivergentSumError, DomainError, JumpCapError, SimulationError
 from .rng import RandomSource
-from .stable import JumpLaw, Lattice, norm_constant
+from .stable import PIECE, JumpLaw, Lattice, norm_constant
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,10 @@ class Exponential:
     def mu(self) -> float:
         return self.mean
 
-    def sample(self, rng: RandomSource, size):
-        return self.mean * rng.standard_exponential(size)
+    def sample(self, rng: RandomSource, size, out=None):
+        out = rng.standard_exponential(size, out=out)
+        out *= self.mean
+        return out
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,11 @@ class ParetoWait:
     def mu(self) -> float:
         return self.index * self.x_min / (self.index - 1.0)
 
-    def sample(self, rng: RandomSource, size):
-        return self.x_min * rng.random(size) ** (-1.0 / self.index)
+    def sample(self, rng: RandomSource, size, out=None):
+        out = rng.random(size, out=out)
+        out **= -1.0 / self.index
+        out *= self.x_min
+        return out
 
 
 @dataclass(frozen=True)
@@ -84,8 +90,11 @@ class GammaWait:
     def mu(self) -> float:
         return self.shape * self.scale
 
-    def sample(self, rng: RandomSource, size):
-        return rng.gamma(self.shape, self.scale, size)
+    def sample(self, rng: RandomSource, size, out=None):
+        # rng.gamma(shape, scale) is scale times the standard draw
+        out = rng.standard_gamma(self.shape, size, out=out)
+        out *= self.scale
+        return out
 
 
 @dataclass(frozen=True)
@@ -100,8 +109,10 @@ class DeterministicWait:
     def mu(self) -> float:
         return self.mean
 
-    def sample(self, rng: RandomSource, size):
-        return np.full(size, self.mean)
+    def sample(self, rng: RandomSource, size, out=None):
+        out = np.empty(size) if out is None else out
+        out.fill(self.mean)
+        return out
 
 
 WaitLaw = Union[Exponential, ParetoWait, GammaWait, DeterministicWait]
@@ -118,13 +129,16 @@ class PathSkeleton:
     ``holds[k]`` is the sojourn that starts there, so both arrays have
     ``n_jumps + 1`` entries; the final hold is the one straddling the
     horizon.  The path's one clock is ``jump_times``, the in-order running
-    sum of the holds, and renewal bracketing reads it: the horizon lies in
-    [jump_times[-2], jump_times[-1]), with 0 for the left end if no jump.
+    sum of the holds (tau_k, the end of the k-th hold), computed from the
+    holds unless the caller already has it.  Renewal bracketing reads it:
+    the horizon lies in [jump_times[-2], jump_times[-1]), with 0 for the
+    left end if no jump.
     """
 
     positions: np.ndarray
     holds: np.ndarray
     horizon_t: float
+    jump_times: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.positions) != len(self.holds) or len(self.holds) == 0:
@@ -132,16 +146,17 @@ class PathSkeleton:
                 "a skeleton needs equal, nonzero numbers of positions and "
                 f"holds, got {len(self.positions)} and {len(self.holds)}"
             )
+        if self.jump_times is None:
+            object.__setattr__(self, "jump_times", np.cumsum(self.holds))
+        elif len(self.jump_times) != len(self.holds):
+            raise SimulationError(
+                f"a skeleton needs one jump time per hold, got "
+                f"{len(self.jump_times)} and {len(self.holds)}"
+            )
 
     @property
     def n_jumps(self) -> int:
         return len(self.positions) - 1
-
-    @cached_property
-    def jump_times(self) -> np.ndarray:
-        """tau_k = end of the k-th hold, k = 1..n_jumps+1: the clock,
-        computed once per path."""
-        return np.cumsum(self.holds)
 
     def check_bracketing(self) -> None:
         tau = self.jump_times
@@ -151,6 +166,29 @@ class PathSkeleton:
                 f"renewal bracketing violated: jump_times[-2]={completed!r}, "
                 f"t={self.horizon_t!r}, jump_times[-1]={float(tau[-1])!r}"
             )
+
+
+# Each thread's work arrays: the walk's sites, holds and clock, and the
+# functional's prefix sums.
+_work = threading.local()
+# The references to an array that only a tuple holds, counted in a loop over
+# that tuple; every array that views it holds one more (its base).
+_OWN_REFS = max(sys.getrefcount(a) for a in (np.empty(0),))
+
+
+def _work_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The calling thread's sites, holds and clock arrays of ``n`` entries.
+
+    The last walk's set is reused when it has ``n`` entries and a reference
+    count finds that no array views it, the check that
+    ``ndarray.resize(refcheck=True)`` makes.  A path that is still alive, or
+    a slice kept after it is gone, holds such a view, and then the walk
+    takes a fresh set, so it never overwrites them.
+    """
+    arrays = getattr(_work, "walk", ())
+    if not arrays or len(arrays[0]) != n or any(sys.getrefcount(a) > _OWN_REFS for a in arrays):
+        arrays = _work.walk = (np.empty(n), np.empty(n), np.empty(n))
+    return arrays
 
 
 def simulate_skeleton(
@@ -172,42 +210,67 @@ def simulate_skeleton(
     of 1/Lambda (1 without an environment).  ``env.lambda_bar_inv`` is only
     this sizing hint: a walk that runs short draws another block, and the
     path's law is the same for any block size.
+
+    The laws draw each block with ``sample(rng, size, out=...)`` into the
+    calling thread's three work arrays of block + 1 entries, for the sites,
+    the holds and the clock (see ``_work_arrays`` for when a walk reuses
+    them); they hold at most 3 (2**20 + 1) doubles, 25 MB, per thread.
+    The running sums of the jumps, 1/Lambda and the clock are then taken
+    ``PIECE`` entries at a time, each sum carried from piece to piece, so
+    they add in the same order as over the whole block, and the walk stops
+    at the piece that holds the horizon.  A path that ends in its first
+    block is a set of views of the work arrays; a longer one is copied out.
     """
     if not 0.0 < horizon_t < math.inf:
         raise DomainError(f"horizon_t must be positive and finite, got {horizon_t}")
 
     mean_hold = wait.mu if env is None else wait.mu * env.lambda_bar_inv
     block = int(min(max(1024, 1.25 * horizon_t / mean_hold), 2**20))
-    pos_chunks = [np.zeros(1)]
-    hold_chunks = []
+    sites, holds, clock = _work_arrays(block + 1)
+    passed = []  # copies of the blocks the path runs through
     elapsed = 0.0
     count = 0  # jumps committed so far, held to JUMP_CAP
     last_site = 0.0
 
     while True:
-        theta = np.asarray(wait.sample(rng, block), dtype=float)
-        xi = np.asarray(jump.sample(rng, block), dtype=float)
-        sites_after = last_site + np.cumsum(xi)
-        # hold k of this block is spent at the site occupied before jump k
-        sites_during = np.concatenate(([last_site], sites_after[:-1]))
-        holds = theta  # scaled in place by 1/Lambda under an environment
-        if env is not None:
-            holds *= env.lambda_inv_many(sites_during)
-
-        clock = np.cumsum(np.concatenate(([elapsed], holds)))[1:]
+        wait.sample(rng, block, out=holds[:block])
+        jump.sample(rng, block, out=sites[1:])
+        # hold k of this block is spent at sites[k], the block's first site
+        # plus its first k jumps; clock[k + 1] is that hold's end
+        sites[0] = last_site
+        clock[0] = elapsed
+        jumped = 0.0  # the sum of this block's jumps so far
+        for start in range(0, block, PIECE):
+            stop = min(start + PIECE, block)
+            steps = sites[start + 1 : stop + 1]
+            if start:
+                steps[0] += jumped
+            np.cumsum(steps, out=steps)
+            jumped = steps[-1]
+            steps += last_site
+            if env is not None:
+                holds[start:stop] *= env.lambda_inv_many(sites[start:stop])
+            ticks = clock[start : stop + 1]
+            ticks[1:] = holds[start:stop]
+            np.cumsum(ticks, out=ticks)
+            if ticks[-1] > horizon_t:
+                break
         # hold j (block-local) straddles the horizon; none does if j == block
-        j = int(np.searchsorted(clock, horizon_t, side="right"))
+        j = start + int(np.searchsorted(ticks[1:], horizon_t, side="right"))
         count += j
         if count > JUMP_CAP:
             raise JumpCapError(JUMP_CAP, horizon_t)
-        pos_chunks.append(sites_after[:j])
-        hold_chunks.append(holds[: j + 1])
         if j < block:
             break
-        elapsed = float(clock[-1])
-        last_site = float(sites_after[-1])
+        passed.append((sites[:block].copy(), holds[:block].copy(), clock[1:].copy()))
+        elapsed = float(clock[block])
+        last_site = float(sites[block])
 
-    path = PathSkeleton(np.concatenate(pos_chunks), np.concatenate(hold_chunks), horizon_t)
+    kept = (sites[: j + 1], holds[: j + 1], clock[1 : j + 2])
+    if passed:
+        kept = tuple(np.concatenate(parts) for parts in zip(*passed, kept))
+    positions, path_holds, jump_times = kept
+    path = PathSkeleton(positions, path_holds, horizon_t, jump_times)
     path.check_bracketing()
     return path
 
@@ -241,17 +304,28 @@ def additive_functional(
 
     Computed from the holding-time decomposition: completed holds contribute
     ``hold * f(site)``, the straddled hold contributes its elapsed part.
+    ``f`` acts site by site, so it is called on ``PIECE`` sites at a time.
     """
     u = np.atleast_1d(np.asarray(u_grid, dtype=float))
     if np.any(u < 0.0) or np.any(u > 1.0):
         raise DomainError("u_grid must lie in [0, 1]")
-    fvals = np.asarray(spec.f(path.positions), dtype=float)
-    prefix = np.concatenate(([0.0], np.cumsum(path.holds * fvals)))
     cutoffs = u * path.horizon_t
     done = np.searchsorted(path.jump_times, cutoffs, side="right")
+    # prefix[k] is the sum of the first k hold * f(site) terms, built in the
+    # calling thread's reused array (only copies leave it)
+    n = path.n_jumps + 1
+    prefix = getattr(_work, "prefix", None)
+    if prefix is None or len(prefix) <= n:
+        prefix = _work.prefix = np.empty(n + 1)
+    prefix, terms = prefix[: n + 1], prefix[1 : n + 1]
+    prefix[0] = 0.0
+    for start in range(0, n, PIECE):
+        piece = slice(start, start + PIECE)
+        np.multiply(path.holds[piece], spec.f(path.positions[piece]), out=terms[piece])
+    np.cumsum(terms, out=terms)
     # each cutoff falls in hold `done`, which began at jump_times[done - 1]
     began = np.where(done > 0, path.jump_times[done - 1], 0.0)
-    return prefix[done] + (cutoffs - began) * fvals[done]
+    return prefix[done] + (cutoffs - began) * np.asarray(spec.f(path.positions[done]), dtype=float)
 
 
 def normalized_functional(

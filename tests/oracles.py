@@ -1,7 +1,8 @@
 """Independent oracles that only the tests call: a fitted stable scale, the
 empirical characteristic function, a Hill tail index, the exact Pareto tail,
-a null calibration of the two-sample KS critical value and the eager draw of
-a Poisson configuration."""
+a null calibration of the two-sample KS critical value, the eager draw of
+a Poisson configuration, and the walk as it was written before its draws
+went into reused arrays."""
 
 from __future__ import annotations
 
@@ -14,7 +15,16 @@ from ctrwlab.distances import ks_critical_value, ks_two_sample
 from ctrwlab.environment import PoissonConfig
 from ctrwlab.errors import CtrwLabError, DomainError
 from ctrwlab.rng import RandomSource
-from ctrwlab.stable import JumpLaw, StableParams, SymmetricPareto, sample_stable
+from ctrwlab.stable import (
+    Gaussian,
+    JumpLaw,
+    Lattice,
+    SkewedPareto,
+    StableParams,
+    SymmetricPareto,
+    sample_stable,
+)
+from ctrwlab.walk import DeterministicWait, Exponential, GammaWait, ParetoWait
 
 
 class CalibrationError(CtrwLabError):
@@ -141,3 +151,63 @@ def sample_config_eager(window: tuple[float, float], rng: RandomSource) -> Poiss
     points = rng.uniform(lo, hi, count)
     points.sort()
     return PoissonConfig(points, lo, hi)
+
+
+def reference_sample(law, rng: RandomSource, size) -> np.ndarray:
+    """Each jump and wait law's draws as fresh arrays, one numpy expression
+    per law: the route every ``law.sample(rng, size, out=...)`` must match
+    bitwise."""
+    if isinstance(law, SymmetricPareto):
+        magnitude = law.x_min * rng.random(size) ** (-1.0 / law.alpha)
+        return (rng.integers(0, 2, size) * 2.0 - 1.0) * magnitude
+    if isinstance(law, SkewedPareto):
+        magnitude = law.x_min * rng.random(size) ** (-1.0 / law.alpha)
+        sign = np.where(rng.random(size) < law.p_right, 1.0, -1.0)
+        return sign * magnitude - law.centering_shift
+    if isinstance(law, Gaussian):
+        return math.sqrt(law.variance) * rng.standard_normal(size)
+    if isinstance(law, Lattice):
+        values = np.array([law.offset + law.b * k for k, _ in law.weights])
+        cum = np.cumsum([p for _, p in law.weights])
+        idx = np.searchsorted(cum, rng.random(size), side="right")
+        return values[np.minimum(idx, len(values) - 1)]
+    if isinstance(law, Exponential):
+        return law.mean * rng.standard_exponential(size)
+    if isinstance(law, ParetoWait):
+        return law.x_min * rng.random(size) ** (-1.0 / law.index)
+    if isinstance(law, GammaWait):
+        return rng.gamma(law.shape, law.scale, size)
+    if isinstance(law, DeterministicWait):
+        return np.full(size, law.mean)
+    raise TypeError(f"no reference draw for {law!r}")
+
+
+def reference_skeleton(
+    jump, wait, horizon_t: float, rng: RandomSource, env=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, holds) of ``simulate_skeleton``'s path, from whole-block
+    arrays: every block's sites, 1/Lambda and clock in full, fresh arrays
+    throughout, and ``reference_sample``'s draws."""
+    mean_hold = wait.mu if env is None else wait.mu * env.lambda_bar_inv
+    block = int(min(max(1024, 1.25 * horizon_t / mean_hold), 2**20))
+    pos_chunks = [np.zeros(1)]
+    hold_chunks = []
+    elapsed = 0.0
+    last_site = 0.0
+    while True:
+        theta = reference_sample(wait, rng, block)
+        xi = reference_sample(jump, rng, block)
+        sites_after = last_site + np.cumsum(xi)
+        sites_during = np.concatenate(([last_site], sites_after[:-1]))
+        holds = theta
+        if env is not None:
+            holds = holds * env.lambda_inv_many(sites_during)
+        clock = np.cumsum(np.concatenate(([elapsed], holds)))[1:]
+        j = int(np.searchsorted(clock, horizon_t, side="right"))
+        pos_chunks.append(sites_after[:j])
+        hold_chunks.append(holds[: j + 1])
+        if j < block:
+            break
+        elapsed = float(clock[-1])
+        last_site = float(sites_after[-1])
+    return np.concatenate(pos_chunks), np.concatenate(hold_chunks)

@@ -642,3 +642,17 @@ class TestDeterministicEnv:
     def test_periodic_needs_positive_floor(self):
         with pytest.raises(DomainError):
             periodic_env(1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "build, key",
+        [
+            (periodic_env, "mean_level"),
+            (periodic_env, "frequency"),
+            (bump_kernel, "amplitude"),
+            (power_kernel, "amplitude"),
+            (power_kernel, "decay_beta"),
+        ],
+    )
+    def test_an_infinite_parameter_is_rejected(self, build, key):
+        with pytest.raises(DomainError, match="finite"):
+            build(**{key: math.inf})

@@ -101,6 +101,27 @@ class TestKsTwoSample:
         assert 0.0 <= d <= 1.0
 
 
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(-1e6, 1e6, allow_nan=False),
+            st.sampled_from([0.0, 1.0, -2.5, math.inf, -math.inf]),
+        ),
+        min_size=1,
+        max_size=300,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_quantiles_are_numpys_bit_for_bit(values):
+    # + 0.0 folds -0.0 into 0.0: a sort and numpy's partition may order the
+    # two zeros differently, the one case the docstring excepts
+    sample = np.asarray(values, dtype=float) + 0.0
+    with np.errstate(invalid="ignore"):
+        expected = np.quantile(sample, [0.05, 0.5, 0.95])
+        got = harness._quantiles(sample)
+    assert got.tobytes() == expected.tobytes()
+
+
 class TestKsCriticalValue:
     @pytest.mark.parametrize(
         "confidence, c", [(0.90, 1.224), (0.95, 1.358), (0.99, 1.628), (0.98, 1.517)]

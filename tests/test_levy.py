@@ -77,6 +77,19 @@ class TestSimulateLevy:
         assert ks_two_sample(half * 2.0 ** (1.0 / alpha), full) < 0.02
 
 
+    def test_brownian_path_keeps_its_values(self):
+        # the alpha = 2 route works in place: the same values as the
+        # whole-array expressions it replaced
+        alpha, grid_n = 2.0, 20_001
+        path = simulate_levy(alpha, 0.0, grid_n, 3.0, spawn_rng(SEED, "in-place"))
+        rng = spawn_rng(SEED, "in-place")
+        u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, grid_n)
+        w = rng.standard_exponential(grid_n)
+        x = 0.0 + 1.0 ** (1.0 / alpha) * (2.0 * np.sin(u) * np.sqrt(w))
+        expected = np.concatenate(([0.0], np.cumsum((3.0 / grid_n) ** (1.0 / alpha) * x)))
+        assert path.values.tobytes() == expected.tobytes()
+
+
 class TestLocalTimeZero:
     def test_path_away_from_zero_keeps_only_origin_term(self):
         values = np.full(1001, 10.0)
@@ -90,6 +103,14 @@ class TestLocalTimeZero:
         est = local_time_zero(path, 0.1, [1.0])[0]
         # dt * (grid_n + 1) / (2 eps), i.e. u/(2 eps) up to one grid cell
         assert est.value == pytest.approx(1.0 / 0.2, rel=2e-3)
+
+    def test_counts_match_the_occupancy_cumsum(self):
+        path = simulate_levy(1.5, 0.0, 10_000, 1.0, spawn_rng(SEED, "count"))
+        u = [0.0, 0.1, 0.25, 0.5, 0.99, 1.0]
+        cum = np.concatenate(([0], np.cumsum(np.abs(path.values) <= 0.05)))
+        counts = cum[np.searchsorted(path.times, u, side="right")]
+        expected = path.dt * counts / (2.0 * 0.05)
+        assert [e.value for e in local_time_zero(path, 0.05, u)] == expected.tolist()
 
     def test_monotone_in_u(self):
         path = simulate_levy(1.5, 0.0, 10**4, 1.0, spawn_rng(SEED, "mono"))

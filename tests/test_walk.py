@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from ctrwlab.walk import (
     position_at,
     simulate_skeleton,
 )
+
+from oracles import reference_sample, reference_skeleton
 
 SEED = 20240808
 
@@ -154,9 +158,9 @@ class CountingWait:
     sizes: list = dataclasses.field(default_factory=list)
     mu: float = 1.0
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size, out=None):
         self.sizes.append(size)
-        return rng.standard_exponential(size)
+        return rng.standard_exponential(size, out=out)
 
 
 class TestDrawBudget:
@@ -445,3 +449,136 @@ def test_functional_scales_with_horizon(mu, alpha):
     )
     spec = FunctionalSpec(f=lambda x: np.ones_like(x))
     assert additive_functional(path, spec, [1.0])[0] == pytest.approx(25.0, rel=1e-9)
+
+
+ALL_LAWS = [
+    SymmetricPareto(1.5),
+    SkewedPareto(1.5, 1.0, 0.8),
+    Gaussian(2.0),
+    Lattice(1.0, ((-2, 0.25), (1, 0.5), (3, 0.25))),
+    Exponential(1.3),
+    ParetoWait(2.5, 0.7),
+    GammaWait(0.7, 2.0),
+    DeterministicWait(0.3),
+]
+
+
+class TestDrawsInPlace:
+    """Every law's ``sample(rng, size, out=buf)`` fills and returns ``buf``
+    with the draws, and the stream, of a fresh ``sample(rng, size)``, which
+    are the oracle's whole-array draws."""
+
+    @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: type(law).__name__)
+    @pytest.mark.parametrize("size", [1, 7, 8192, 8193, 20_001, (30, 70)])
+    def test_out_matches_a_fresh_draw(self, law, size):
+        buf = np.empty(size)
+        rng, fresh, oracle = (spawn_rng(SEED, "in-place") for _ in range(3))
+        assert law.sample(rng, size, out=buf) is buf
+        drawn = law.sample(fresh, size)
+        assert drawn.tobytes() == buf.tobytes()
+        assert reference_sample(law, oracle, size).tobytes() == buf.tobytes()
+        assert rng.bit_generator.state == fresh.bit_generator.state == oracle.bit_generator.state
+
+
+def unit_env(true_mean: float, hint: float) -> DeterministicEnv:
+    return DeterministicEnv(
+        lambda_inv_fn=lambda x: np.full_like(np.asarray(x, dtype=float), true_mean),
+        lambda_bar_inv=hint,
+        name=f"flat({true_mean}), hint {hint}",
+    )
+
+
+# (jump, wait, t, env): one block in one piece, one block in many pieces, and
+# paths through many blocks of one or many pieces, where a hint above the true
+# mean of 1/Lambda makes the blocks too short
+SKELETON_CASES = {
+    "one-piece": (SymmetricPareto(1.5), Exponential(1.0), 3000.0, None),
+    "many-pieces": (SkewedPareto(1.5, 1.0, 0.8), Exponential(1.0), 1e5, periodic_env()),
+    "many-blocks": (Gaussian(1.0), Exponential(1.0), 1e4, unit_env(1.0, 100.0)),
+    "many-blocks-of-pieces": (
+        SkewedPareto(1.5, 1.0, 0.8), GammaWait(2.0, 0.5), 2e4, unit_env(0.1, 1.0)
+    ),
+    "lattice": (rademacher(), DeterministicWait(0.1), 1e4, None),
+}
+
+
+class TestWorkArrays:
+    """Walks draw into per-thread work arrays, take the running sums a
+    piece at a time and stop at the horizon, and give the same paths."""
+
+    @pytest.mark.parametrize("case", SKELETON_CASES)
+    def test_skeleton_matches_the_whole_block_reference(self, case):
+        jump, wait, t, env = SKELETON_CASES[case]
+        for k in range(3):
+            path = simulate_skeleton(jump, wait, t, spawn_rng(SEED, "ref", case, k), env=env)
+            positions, holds = reference_skeleton(
+                jump, wait, t, spawn_rng(SEED, "ref", case, k), env=env
+            )
+            assert path.positions.tobytes() == positions.tobytes()
+            assert path.holds.tobytes() == holds.tobytes()
+
+    @pytest.mark.parametrize("case", SKELETON_CASES)
+    def test_clock_is_the_running_sum_of_the_holds(self, case):
+        jump, wait, t, env = SKELETON_CASES[case]
+        path = simulate_skeleton(jump, wait, t, spawn_rng(SEED, "clock", case), env=env)
+        assert path.jump_times.tobytes() == np.cumsum(path.holds).tobytes()
+
+    def test_shot_noise_skeleton_matches_the_reference(self):
+        env = ShotNoiseEnv(
+            kernel=bump_kernel(math.log(2.0)),
+            config=sample_config((-2e5, 2e5), spawn_rng(SEED, "ref-config")),
+        )
+        jump, wait = SymmetricPareto(1.5), Exponential(1.0)
+        path = simulate_skeleton(jump, wait, 3e4, spawn_rng(SEED, "ref-shot"), env=env)
+        positions, holds = reference_skeleton(
+            jump, wait, 3e4, spawn_rng(SEED, "ref-shot"), env=env
+        )
+        assert path.positions.tobytes() == positions.tobytes()
+        assert path.holds.tobytes() == holds.tobytes()
+
+    def test_a_live_path_is_never_overwritten(self):
+        jump, wait, t, env = SKELETON_CASES["many-pieces"]
+        first = simulate_skeleton(jump, wait, t, spawn_rng(SEED, "live", 1), env=env)
+        kept = [a.copy() for a in (first.positions, first.holds, first.jump_times)]
+        simulate_skeleton(jump, wait, t, spawn_rng(SEED, "live", 2), env=env)
+        for live, copy in zip((first.positions, first.holds, first.jump_times), kept):
+            assert live.tobytes() == copy.tobytes()
+        # a slice outlives its path
+        tail, tail_copy = first.holds[-100:], first.holds[-100:].copy()
+        del first
+        simulate_skeleton(jump, wait, t, spawn_rng(SEED, "live", 3), env=env)
+        assert tail.tobytes() == tail_copy.tobytes()
+
+    def test_a_dropped_path_leaves_its_arrays_to_the_next_walk(self):
+        jump, wait, t, env = SKELETON_CASES["many-pieces"]
+
+        def start(path):
+            return path.positions.__array_interface__["data"][0]
+
+        path = simulate_skeleton(jump, wait, t, spawn_rng(SEED, "reuse", 1), env=env)
+        first = start(path)
+        del path
+        path = simulate_skeleton(jump, wait, t, spawn_rng(SEED, "reuse", 2), env=env)
+        assert start(path) == first
+
+    def test_threads_walk_in_arrays_of_their_own(self):
+        # more threads than cores, switching often: each walk matches its
+        # reference although every thread walks into its own work arrays
+        jump, wait, t, env = SKELETON_CASES["many-pieces"]
+
+        def walk(k):
+            return simulate_skeleton(jump, wait, t, spawn_rng(SEED, "threads", k), env=env)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                paths = list(pool.map(walk, range(12), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for k, path in enumerate(paths):
+            positions, holds = reference_skeleton(
+                jump, wait, t, spawn_rng(SEED, "threads", k), env=env
+            )
+            assert path.positions.tobytes() == positions.tobytes()
+            assert path.holds.tobytes() == holds.tobytes()

@@ -8,10 +8,8 @@ from .environment import (
     PoissonConfig,
     ShotNoiseEnv,
     bump_kernel,
-    cesaro_error,
     load_config,
     mean_lambda_inv_analytic,
-    mc_mean_lambda_inv,
     periodic_env,
     power_kernel,
     sample_config,
@@ -55,7 +53,6 @@ from .stable import (
     norm_constant,
     rademacher,
     sample_stable,
-    stable_chf,
 )
 from .walk import (
     DeterministicWait,
@@ -70,7 +67,6 @@ from .walk import (
     lattice_limit_constant,
     load_skeleton,
     normalized_functional,
-    position_at,
     simulate_skeleton,
 )
 

@@ -144,6 +144,9 @@ def cmd_simulate(jump_kind, wait_kind, env_kind, t, paths, seed, out, dump_path,
             )
             if k == 0 and dump_path is not None:
                 dump_skeleton(path, dump_path)
+            # a live path views the work arrays, and the next walk would
+            # then take fresh ones
+            del path
 
 
 @main.command("local-time")

@@ -1,6 +1,8 @@
 """Jump-intensity environments: deterministic profiles and Poisson
-shot-noise potentials, with their analytic moments and the empirical
-checks backing the sub-polynomial-growth and Cesaro-average assumptions.
+shot-noise potentials, their analytic exponential moments by the one
+quadrature rule ``_quad``, and the sup-growth check behind the
+sub-polynomial-growth assumption.  The Cesaro-average check and the Monte
+Carlo moment are test oracles, in ``tests/oracles.py``.
 
 An environment answers 1/Lambda (``lambda_inv_many``), the only form the
 walk, the limit constants and the Cesaro check read, and rejects one that is
@@ -25,7 +27,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -40,15 +42,13 @@ class Kernel:
 
     ``bound_c`` and ``decay_beta`` certify phi(x) <= bound_c / (1+|x|^(1+beta));
     the envelope is spot-checked on a grid at construction.  ``cutoff_r``
-    is the evaluation radius; ``compact_support`` marks kernels vanishing
-    beyond the cutoff (exact truncation).
+    is the evaluation radius.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
     bound_c: float
     decay_beta: float
     cutoff_r: float
-    compact_support: bool = False
     name: str = "custom"
 
     def __post_init__(self):
@@ -64,13 +64,6 @@ class Kernel:
             raise DomainError(
                 "kernel violates 0 <= phi(x) <= C/(1+|x|^(1+beta)) on the test grid"
             )
-
-    @property
-    def tail_bound(self) -> float:
-        """Expected truncated mass per unit intensity."""
-        if self.compact_support:
-            return 0.0
-        return 2.0 * self.bound_c * self.cutoff_r**-self.decay_beta / self.decay_beta
 
 
 def _check_amplitude(amplitude: float) -> None:
@@ -120,7 +113,6 @@ def bump_kernel(amplitude: float = math.log(2.0)) -> Kernel:
         bound_c=amplitude,
         decay_beta=1.0,
         cutoff_r=1.0,
-        compact_support=True,
         name=f"bump(A={amplitude})",
     )
 
@@ -166,7 +158,13 @@ class PoissonConfig:
         """Draw the Poisson count and then its uniforms from ``rng``, holding
         the points of the middle ``_FIRST_SPAN`` of [lo, hi]."""
         config = cls(np.empty(0), lo, hi)
-        config._count = int(rng.poisson(hi - lo))
+        try:
+            config._count = int(rng.poisson(hi - lo))
+        except ValueError:
+            # numpy draws no Poisson count with a mean near 2**63 or above
+            raise DomainError(
+                f"window [{lo:.6g}, {hi:.6g}] is too long to draw its Poisson count"
+            ) from None
         config._replay = copy.deepcopy(rng)
         mid, half = 0.5 * (lo + hi), 0.5 * _FIRST_SPAN * (hi - lo)
         config._hold(rng, (mid - half, mid + half))
@@ -221,7 +219,8 @@ def sample_config(window: tuple[float, float], rng: RandomSource) -> PoissonConf
     ``rng`` gives the count and then the uniforms as one
     ``rng.uniform(lo, hi, count)`` would, and ends where that leaves it.
     The configuration holds the points of the middle ``_FIRST_SPAN`` of the
-    window until a read reaches past them, and then the whole window."""
+    window until a read reaches past them, and then the whole window.  A
+    window too long for numpy's Poisson draw raises DomainError."""
     return PoissonConfig._sample(float(window[0]), float(window[1]), rng)
 
 
@@ -489,53 +488,6 @@ def theorem5_constant(kernel: Kernel, alpha: float) -> float:
     return math.exp((1.0 / alpha - 1.0) * _exp_phi_integral(kernel, 1.0))
 
 
-# The Cesaro check's panel rule: Gauss-Legendre of this order on panels at
-# most this wide, split at every kink of 1/Lambda.
-_GAUSS_ORDER = 4
-_PANEL_WIDTH = 1.0
-
-
-@lru_cache(maxsize=1)
-def _gauss_nodes() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-
-
-def _panel_prefix(
-    integrand: Callable[[np.ndarray], np.ndarray], breakpoints: np.ndarray
-) -> np.ndarray:
-    """Integrals of ``integrand`` from the first breakpoint to each one, by
-    ``_GAUSS_ORDER``-point Gauss panels on every interval; the intervals go
-    to the integrand in slices that keep the node arrays bounded."""
-    nodes, weights = _gauss_nodes()
-    a = breakpoints[:-1]
-    b = breakpoints[1:]
-    per_interval = np.empty(len(a))
-    chunk = 200_000
-    for start in range(0, len(a), chunk):
-        sl = slice(start, min(start + chunk, len(a)))
-        half = 0.5 * (b[sl] - a[sl])
-        mid = 0.5 * (a[sl] + b[sl])
-        xs = mid[:, None] + half[:, None] * nodes[None, :]
-        ys = np.asarray(integrand(xs.ravel()), dtype=float).reshape(xs.shape)
-        per_interval[sl] = (ys @ weights) * half
-    return np.concatenate(([0.0], np.cumsum(per_interval)))
-
-
-def _subdivide(breakpoints: np.ndarray, h_max: float) -> np.ndarray:
-    """Insert uniform interior points so no interval exceeds ``h_max``."""
-    gaps = np.diff(breakpoints)
-    n_extra = np.maximum(np.ceil(gaps / h_max).astype(int) - 1, 0)
-    if not n_extra.any():
-        return breakpoints
-    idx = np.nonzero(n_extra)[0]
-    counts = n_extra[idx]
-    # a + k (b - a)/(n + 1), k = 1..n, for each gap: linspace's interior points
-    k = np.arange(1, counts.sum() + 1) - np.repeat(np.cumsum(counts) - counts, counts)
-    step = np.repeat(gaps[idx] / (counts + 1), counts)
-    interior = np.repeat(breakpoints[idx], counts) + k * step
-    return np.unique(np.concatenate([breakpoints, interior]))
-
-
 def _kinks(env: EnvSpec, lo: float, hi: float) -> np.ndarray:
     """The kinks of 1/Lambda strictly inside (lo, hi): a shot-noise
     environment's configuration points and the kernel support edges around
@@ -546,57 +498,6 @@ def _kinks(env: EnvSpec, lo: float, hi: float) -> np.ndarray:
     pts = env.config.between(lo - r, hi + r)
     kinks = np.concatenate([pts, pts - r, pts + r])
     return kinks[(kinks > lo) & (kinks < hi)]
-
-
-def cesaro_error(env: EnvSpec, ts, r: float) -> list[float]:
-    """For each t in ``ts``, in order: the sup over windows x, t/8 apart
-    in |x| <= t^r, of |(1/t) integral_x^(x+t) of 1/Lambda - mean|.
-
-    Every window integral is a difference of one prefix integral over the
-    union of the spans, by ``_panel_prefix`` on panels at most
-    ``_PANEL_WIDTH`` wide, split at every window edge, configuration point
-    and kernel support edge, so the estimate carries quadrature error far
-    below the statistical signal.
-    """
-    ts = [float(t) for t in ts]
-    if not ts or not all(t > 0.0 for t in ts):
-        raise DomainError(f"every t must be positive, got {ts}")
-    starts = [np.arange(-(t**r), t**r + t / 16.0, t / 8.0) for t in ts]
-    ends = [xs + t for t, xs in zip(ts, starts)]
-    span_lo = min(xs[0] for xs in starts)
-    span_hi = max(xs[-1] for xs in ends)
-    kinks = _kinks(env, span_lo, span_hi)
-    breakpoints = np.unique(np.concatenate([kinks, *starts, *ends]))
-    breakpoints = _subdivide(breakpoints, _PANEL_WIDTH)
-    prefix = _panel_prefix(env.lambda_inv_many, breakpoints)
-    out = []
-    for t, xs, xe in zip(ts, starts, ends):
-        window = prefix[np.searchsorted(breakpoints, xe)]
-        window -= prefix[np.searchsorted(breakpoints, xs)]
-        out.append(float(np.max(np.abs(window / t - env.lambda_bar_inv))))
-    return out
-
-
-def mc_mean_lambda_inv(
-    kernel: Kernel, n_configs: int, rng: RandomSource
-) -> tuple[float, float]:
-    """Monte Carlo estimate of E[1/Lambda(0)] over fresh configurations.
-
-    Only points within the cutoff of the origin matter, so each replicate
-    samples the window [-cutoff_r, cutoff_r].  Returns (mean, standard
-    error); the independent check of the analytic exponential-moment
-    formula.
-    """
-    r = kernel.cutoff_r
-    counts = rng.poisson(2.0 * r, n_configs)
-    total = int(counts.sum())
-    offsets = rng.uniform(-r, r, total)
-    contrib = np.asarray(kernel.phi(offsets), dtype=float)
-    cums = np.concatenate(([0.0], np.cumsum(contrib)))
-    splits = np.concatenate(([0], np.cumsum(counts)))
-    potentials = cums[splits[1:]] - cums[splits[:-1]]
-    values = np.exp(potentials)
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_configs))
 
 
 def sup_growth_check(env: ShotNoiseEnv, n_list) -> list[tuple[int, float]]:

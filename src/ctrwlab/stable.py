@@ -1,5 +1,5 @@
-"""Stable laws with index in (1, 2]: characteristic function, exact sampling,
-jump-size distributions with attraction metadata, and normalizing constants.
+"""Stable laws with index in (1, 2]: exact sampling, jump-size distributions
+with attraction metadata, and normalizing constants.
 
 Conventions used throughout the package:
 
@@ -63,26 +63,12 @@ class StableParams:
             raise DomainError(f"location_a must be finite, got {self.location_a}")
 
 
-def stable_chf(params: StableParams, x):
-    """Characteristic function of the stable law at ``x`` (scalar or array)."""
-    x = np.asarray(x, dtype=float)
-    tan_term = _tan_half_pi(params.alpha)
-    omega = 1.0 + 1j * params.beta * np.sign(x) * tan_term
-    out = np.exp(
-        1j * params.location_a * x
-        - params.scale_c * np.abs(x) ** params.alpha * omega
-    )
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
 def sample_stable(params: StableParams, rng: RandomSource, size):
     """Draw from the stable law by the uniform-angle/exponential transform.
 
     The transform is exact (no discretization bias).  Internally the skew
-    enters with the opposite sign from our chf convention, which is checked
-    against ``stable_chf`` by the empirical-chf tests.
+    enters with the opposite sign from our chf convention, which the
+    empirical-chf tests check against the exact chf in ``tests/oracles.py``.
     """
     alpha = params.alpha
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)

@@ -275,14 +275,6 @@ def simulate_skeleton(
     return path
 
 
-def position_at(path: PathSkeleton, s: float) -> float:
-    """The walker's location at time ``s`` (right-continuous at jumps)."""
-    if not 0.0 <= s <= path.horizon_t:
-        raise DomainError(f"s={s} outside [0, {path.horizon_t}]")
-    completed = int(np.searchsorted(path.jump_times, s, side="right"))
-    return float(path.positions[min(completed, path.n_jumps)])
-
-
 @dataclass(frozen=True)
 class FunctionalSpec:
     """The integrand of the additive functional integral_0^(t u) f(X_s) ds.

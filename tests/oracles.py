@@ -1,18 +1,21 @@
 """Independent oracles that only the tests call: a fitted stable scale, the
-empirical characteristic function, a Hill tail index, the exact Pareto tail,
-a null calibration of the two-sample KS critical value, the eager draw of
-a Poisson configuration, and the walk as it was written before its draws
-went into reused arrays."""
+exact and the empirical characteristic function, a Hill tail index, the
+exact Pareto tail, a null calibration of the two-sample KS critical value,
+the eager draw of a Poisson configuration, the Cesaro-average check of
+1/Lambda by its own Gauss-Legendre panel rule, a Monte Carlo E[1/Lambda],
+and the walk as it was written before its draws went into reused arrays."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from ctrwlab.distances import ks_critical_value, ks_two_sample
-from ctrwlab.environment import PoissonConfig
+from ctrwlab.environment import EnvSpec, Kernel, PoissonConfig, _kinks
 from ctrwlab.errors import CtrwLabError, DomainError
 from ctrwlab.rng import RandomSource
 from ctrwlab.stable import (
@@ -22,6 +25,7 @@ from ctrwlab.stable import (
     SkewedPareto,
     StableParams,
     SymmetricPareto,
+    _tan_half_pi,
     sample_stable,
 )
 from ctrwlab.walk import DeterministicWait, Exponential, GammaWait, ParetoWait
@@ -47,6 +51,20 @@ def empirical_chf(samples: np.ndarray, x_grid) -> np.ndarray:
     for i, x in enumerate(x_grid):
         phase = x * samples
         out[i] = np.mean(np.cos(phase)) + 1j * np.mean(np.sin(phase))
+    return out
+
+
+def stable_chf(params: StableParams, x):
+    """Characteristic function of the stable law at ``x`` (scalar or array)."""
+    x = np.asarray(x, dtype=float)
+    tan_term = _tan_half_pi(params.alpha)
+    omega = 1.0 + 1j * params.beta * np.sign(x) * tan_term
+    out = np.exp(
+        1j * params.location_a * x
+        - params.scale_c * np.abs(x) ** params.alpha * omega
+    )
+    if out.ndim == 0:
+        return complex(out)
     return out
 
 
@@ -151,6 +169,104 @@ def sample_config_eager(window: tuple[float, float], rng: RandomSource) -> Poiss
     points = rng.uniform(lo, hi, count)
     points.sort()
     return PoissonConfig(points, lo, hi)
+
+
+# The Cesaro check's panel rule: Gauss-Legendre of this order on panels at
+# most this wide, split at every kink of 1/Lambda.
+_GAUSS_ORDER = 4
+_PANEL_WIDTH = 1.0
+
+
+@lru_cache(maxsize=1)
+def _gauss_nodes() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+
+
+def _panel_prefix(
+    integrand: Callable[[np.ndarray], np.ndarray], breakpoints: np.ndarray
+) -> np.ndarray:
+    """Integrals of ``integrand`` from the first breakpoint to each one, by
+    ``_GAUSS_ORDER``-point Gauss panels on every interval; the intervals go
+    to the integrand in slices that keep the node arrays bounded."""
+    nodes, weights = _gauss_nodes()
+    a = breakpoints[:-1]
+    b = breakpoints[1:]
+    per_interval = np.empty(len(a))
+    chunk = 200_000
+    for start in range(0, len(a), chunk):
+        sl = slice(start, min(start + chunk, len(a)))
+        half = 0.5 * (b[sl] - a[sl])
+        mid = 0.5 * (a[sl] + b[sl])
+        xs = mid[:, None] + half[:, None] * nodes[None, :]
+        ys = np.asarray(integrand(xs.ravel()), dtype=float).reshape(xs.shape)
+        per_interval[sl] = (ys @ weights) * half
+    return np.concatenate(([0.0], np.cumsum(per_interval)))
+
+
+def _subdivide(breakpoints: np.ndarray, h_max: float) -> np.ndarray:
+    """Insert uniform interior points so no interval exceeds ``h_max``."""
+    gaps = np.diff(breakpoints)
+    n_extra = np.maximum(np.ceil(gaps / h_max).astype(int) - 1, 0)
+    if not n_extra.any():
+        return breakpoints
+    idx = np.nonzero(n_extra)[0]
+    counts = n_extra[idx]
+    # a + k (b - a)/(n + 1), k = 1..n, for each gap: linspace's interior points
+    k = np.arange(1, counts.sum() + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    step = np.repeat(gaps[idx] / (counts + 1), counts)
+    interior = np.repeat(breakpoints[idx], counts) + k * step
+    return np.unique(np.concatenate([breakpoints, interior]))
+
+
+def cesaro_error(env: EnvSpec, ts, r: float) -> list[float]:
+    """For each t in ``ts``, in order: the sup over windows x, t/8 apart
+    in |x| <= t^r, of |(1/t) integral_x^(x+t) of 1/Lambda - mean|.
+
+    Every window integral is a difference of one prefix integral over the
+    union of the spans, by ``_panel_prefix`` on panels at most
+    ``_PANEL_WIDTH`` wide, split at every window edge, configuration point
+    and kernel support edge, so the estimate carries quadrature error far
+    below the statistical signal.
+    """
+    ts = [float(t) for t in ts]
+    if not ts or not all(t > 0.0 for t in ts):
+        raise DomainError(f"every t must be positive, got {ts}")
+    starts = [np.arange(-(t**r), t**r + t / 16.0, t / 8.0) for t in ts]
+    ends = [xs + t for t, xs in zip(ts, starts)]
+    span_lo = min(xs[0] for xs in starts)
+    span_hi = max(xs[-1] for xs in ends)
+    kinks = _kinks(env, span_lo, span_hi)
+    breakpoints = np.unique(np.concatenate([kinks, *starts, *ends]))
+    breakpoints = _subdivide(breakpoints, _PANEL_WIDTH)
+    prefix = _panel_prefix(env.lambda_inv_many, breakpoints)
+    out = []
+    for t, xs, xe in zip(ts, starts, ends):
+        window = prefix[np.searchsorted(breakpoints, xe)]
+        window -= prefix[np.searchsorted(breakpoints, xs)]
+        out.append(float(np.max(np.abs(window / t - env.lambda_bar_inv))))
+    return out
+
+
+def mc_mean_lambda_inv(
+    kernel: Kernel, n_configs: int, rng: RandomSource
+) -> tuple[float, float]:
+    """Monte Carlo estimate of E[1/Lambda(0)] over fresh configurations.
+
+    Only points within the cutoff of the origin matter, so each replicate
+    samples the window [-cutoff_r, cutoff_r].  Returns (mean, standard
+    error); the independent check of the analytic exponential-moment
+    formula.
+    """
+    r = kernel.cutoff_r
+    counts = rng.poisson(2.0 * r, n_configs)
+    total = int(counts.sum())
+    offsets = rng.uniform(-r, r, total)
+    contrib = np.asarray(kernel.phi(offsets), dtype=float)
+    cums = np.concatenate(([0.0], np.cumsum(contrib)))
+    splits = np.concatenate(([0], np.cumsum(counts)))
+    potentials = cums[splits[1:]] - cums[splits[:-1]]
+    values = np.exp(potentials)
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_configs))
 
 
 def reference_sample(law, rng: RandomSource, size) -> np.ndarray:

@@ -15,8 +15,6 @@ from ctrwlab.distances import ks_critical_value
 from ctrwlab.environment import (
     ShotNoiseEnv,
     bump_kernel,
-    cesaro_error,
-    mc_mean_lambda_inv,
     mean_lambda_inv_analytic,
     power_kernel,
     sample_config,
@@ -31,11 +29,16 @@ from ctrwlab.stable import (
     SymmetricPareto,
     rademacher,
     sample_stable,
-    stable_chf,
 )
 from ctrwlab.walk import Exponential, FunctionalSpec, simulate_skeleton
 from ctrwlab.environment import periodic_env
-from oracles import calibrate_sigma, empirical_chf
+from oracles import (
+    calibrate_sigma,
+    cesaro_error,
+    empirical_chf,
+    mc_mean_lambda_inv,
+    stable_chf,
+)
 
 SEED = 20240808
 

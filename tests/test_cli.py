@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import ctrwlab
-from ctrwlab import cli
+from ctrwlab import cli, walk
 from ctrwlab.cli import load_experiment_config, main
 from ctrwlab.environment import periodic_env
 from ctrwlab.errors import ExperimentConfigError
@@ -167,6 +167,22 @@ class TestSimulate:
                         f"{float(np.mean(path.holds)):.17g}")
         assert result.output == "\n".join(rows) + "\n"
 
+    def test_paths_reuse_one_set_of_work_arrays(self, runner, monkeypatch):
+        # a path left alive while the next walk runs would view the work
+        # arrays and make every walk allocate fresh ones
+        returned = []
+        work_arrays = walk._work_arrays
+
+        def spy(n):
+            returned.append(work_arrays(n))
+            return returned[-1]
+
+        monkeypatch.setattr(walk, "_work_arrays", spy)
+        result = runner.invoke(main, ["simulate", "--t", "1e4", "--paths", "5"])
+        assert result.exit_code == 0, result.output
+        assert len(returned) == 5
+        assert all(arrays is returned[0] for arrays in returned[1:])
+
     def test_unknown_env_kind_exit_two(self, runner):
         result = runner.invoke(main, ["simulate", "--t", "20", "--env", "periodic"])
         assert result.exit_code == 2
@@ -252,6 +268,12 @@ class TestEnv:
         assert result.exit_code == 1
         assert "error: E[Lambda^(-a)] overflows" in result.output
         assert "mean_lambda_inv" not in result.output
+
+    def test_window_too_long_to_draw_is_a_runtime_error(self, runner):
+        result = runner.invoke(main, ["env", "--check-b3", "--n", "100000000000000000000"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: window" in result.output and "Poisson count" in result.output
 
     def test_requires_an_action(self, runner):
         result = runner.invoke(main, ["env"])
@@ -392,6 +414,18 @@ class TestCompare:
         result = runner.invoke(main, ["compare", "--config", str(cfg)])
         assert result.exit_code == 1, result.output
         assert "window" in result.stderr.strip().splitlines()[-1]
+
+    def test_t5_window_too_long_to_draw_exit_one(self, runner, tmp_path):
+        # validate accepts the window; numpy cannot draw its Poisson count
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(T5_CONFIG.replace(
+            "limit_replicates = 100\n", "limit_replicates = 100\nenv_window_halfwidth = 1e300\n"
+        ))
+        result = runner.invoke(main, ["compare", "--config", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        last = result.stderr.strip().splitlines()[-1]
+        assert last.startswith("error: window") and "Poisson count" in last
 
     def test_benchmark_workloads_validate(self):
         # the benchmark runs these configs; a change to keys, kinds or

@@ -14,11 +14,8 @@ from ctrwlab.environment import (
     ShotNoiseEnv,
     _exp_phi_integral,
     _quad,
-    _subdivide,
     bump_kernel,
-    cesaro_error,
     load_config,
-    mc_mean_lambda_inv,
     mean_lambda_inv_analytic,
     periodic_env,
     power_kernel,
@@ -31,7 +28,7 @@ from ctrwlab.errors import BoundaryError, DomainError, QuadratureError
 from ctrwlab.rng import spawn_rng
 from ctrwlab.stable import Gaussian
 from ctrwlab.walk import Exponential, simulate_skeleton
-from oracles import sample_config_eager
+from oracles import _subdivide, cesaro_error, mc_mean_lambda_inv, sample_config_eager
 
 SEED = 20240808
 
@@ -42,7 +39,6 @@ def zero_kernel() -> Kernel:
         bound_c=1.0,
         decay_beta=1.0,
         cutoff_r=1.0,
-        compact_support=True,
         name="zero",
     )
 
@@ -54,7 +50,6 @@ def hat_kernel(amplitude: float = math.log(2.0)) -> Kernel:
         bound_c=2.0 * amplitude,
         decay_beta=1.0,
         cutoff_r=1.0,
-        compact_support=True,
         name="hat",
     )
 
@@ -90,8 +85,10 @@ class TestKernel:
             )
 
     def test_power_kernel_tail_bound(self):
+        # the truncated mass per unit intensity is at most 2 C r^(-beta) / beta
         k = power_kernel(0.5, 3.0)
-        assert k.tail_bound <= environment.POWER_TAIL_TOL * (1.0 + 1e-9)
+        tail = 2.0 * k.bound_c * k.cutoff_r**-k.decay_beta / k.decay_beta
+        assert tail <= environment.POWER_TAIL_TOL * (1.0 + 1e-9)
 
     @pytest.mark.parametrize(
         "decay_beta, tail_tol, message",
@@ -111,7 +108,11 @@ class TestKernel:
             power_kernel(0.5, decay_beta)
 
     def test_bump_kernel_exact_truncation(self):
-        assert bump_kernel(0.5).tail_bound == 0.0
+        # phi vanishes at and beyond the cutoff, so truncation drops nothing
+        k = bump_kernel(0.5)
+        xs = k.cutoff_r * np.array([1.0, 1.0 + 1e-12, 1.5, 10.0, 1e6])
+        assert np.all(k.phi(xs) == 0.0)
+        assert np.all(k.phi(-xs) == 0.0)
 
 
 class TestPoissonConfig:
@@ -265,7 +266,8 @@ class TestPotential:
             [float(np.sum(kernel.phi(x - cfg.points))) for x in xs]
         )
         assert np.all(truncated <= full + 1e-12)
-        assert np.max(full - truncated) < 5.0 * kernel.tail_bound
+        tail = 2.0 * kernel.bound_c * kernel.cutoff_r**-kernel.decay_beta / kernel.decay_beta
+        assert np.max(full - truncated) < 5.0 * tail
 
     def test_boundary_error(self):
         env = ShotNoiseEnv(
@@ -487,7 +489,6 @@ class TestQuadrature:
             bound_c=1.0,
             decay_beta=1.0,
             cutoff_r=1.0,
-            compact_support=True,
         )
         with pytest.raises(QuadratureError):
             mean_lambda_inv_analytic(kernel, 1.0)

@@ -16,8 +16,8 @@ from ctrwlab.levy import (
     simulate_levy,
 )
 from ctrwlab.rng import spawn_rng
-from ctrwlab.stable import StableParams, stable_chf
-from oracles import empirical_chf
+from ctrwlab.stable import StableParams
+from oracles import empirical_chf, stable_chf
 
 SEED = 20240808
 

@@ -16,7 +16,6 @@ from ctrwlab.stable import (
     norm_constant,
     rademacher,
     sample_stable,
-    stable_chf,
 )
 import oracles
 from oracles import (
@@ -26,6 +25,7 @@ from oracles import (
     empirical_chf,
     hill_estimator,
     pareto_tail_probability,
+    stable_chf,
 )
 
 SEED = 20240808

@@ -31,7 +31,6 @@ from ctrwlab.walk import (
     lattice_limit_constant,
     load_skeleton,
     normalized_functional,
-    position_at,
     simulate_skeleton,
 )
 
@@ -101,7 +100,6 @@ class TestSimulateSkeleton:
         )
         assert path.n_jumps == 0
         assert path.positions.tolist() == [0.0]
-        assert position_at(path, 0.99) == 0.0
 
     def test_renewal_rate_with_flat_environment(self):
         # holds are theta/2, so jumps arrive at rate 2
@@ -233,41 +231,6 @@ class TestClock:
         assert tau[-2] <= 1e4 < tau[-1]
         assert np.array_equal(path.jump_times, tau)
         path.check_bracketing()
-
-
-class TestPositionAt:
-    def test_cadlag_at_jump_times(self):
-        path = PathSkeleton(
-            positions=np.array([0.0, 1.0, 3.0]),
-            holds=np.array([1.0, 2.0, 4.0]),
-            horizon_t=5.0,
-        )
-        assert position_at(path, 0.0) == 0.0
-        assert position_at(path, 0.999999) == 0.0
-        assert position_at(path, 1.0) == 1.0  # right-continuous at the jump
-        assert position_at(path, 2.9) == 1.0
-        assert position_at(path, 3.0) == 3.0
-
-    def test_out_of_range(self):
-        path = PathSkeleton(
-            positions=np.array([0.0]), holds=np.array([2.0]), horizon_t=1.0
-        )
-        with pytest.raises(DomainError):
-            position_at(path, 1.5)
-        with pytest.raises(DomainError):
-            position_at(path, -0.1)
-
-    def test_against_linear_scan(self):
-        path = simulate_skeleton(
-            Gaussian(1.0), Exponential(1.0), 50.0, spawn_rng(SEED, "scan")
-        )
-        times = spawn_rng(SEED, "scan-times").uniform(0.0, 50.0, 200)
-        tau = path.jump_times
-        for s in times:
-            k = 0
-            while k < path.n_jumps and tau[k] <= s:
-                k += 1
-            assert position_at(path, s) == path.positions[k]
 
 
 class TestAdditiveFunctional:

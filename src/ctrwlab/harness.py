@@ -89,9 +89,6 @@ class ExperimentConfig:
     env_config_seed: Optional[int] = None
     fdd_pairs: tuple = ()
     label: str = ""
-    # Diagnostic trend runs compare against short horizons below the
-    # production floor of t >= 1e3; they must opt in explicitly.
-    allow_short_horizon: bool = False
 
     def validate(self) -> None:
         problems = []
@@ -99,9 +96,8 @@ class ExperimentConfig:
             problems.append(f"unknown theorem {self.theorem!r}")
         if self.replicates < 100 or self.limit_replicates < 100:
             problems.append("replicates and limit_replicates must be >= 100")
-        t_floor = 1.0 if self.allow_short_horizon else 1e3
-        if not t_floor <= self.t < math.inf:
-            problems.append(f"t must be finite and at least {t_floor:g}, got {self.t}")
+        if not 0.0 < self.t < math.inf:
+            problems.append(f"t must be finite and positive, got {self.t}")
         u = np.asarray(self.u_grid, dtype=float)
         # written so that a nan entry fails
         if u.size == 0 or not np.all((u > 0.0) & (u <= 1.0)) or np.any(np.diff(u) <= 0):
@@ -127,12 +123,9 @@ class ExperimentConfig:
                     "T2 requires a jump law with an absolutely continuous "
                     "component; use T2-lattice for lattice jumps"
                 )
-        if self.theorem == "T2-lattice":
-            if not isinstance(self.jump, Lattice):
-                problems.append("T2-lattice requires a Lattice jump law")
-            elif not self.jump.generates_lattice:
-                problems.append("T2-lattice requires centred jumps that generate bZ "
-                                "(integer multiples of b with gcd 1)")
+        if self.theorem == "T2-lattice" and not getattr(self.jump, "generates_lattice", False):
+            problems.append("T2-lattice requires a lattice law: centred jumps that "
+                            "generate bZ (integer multiples of b with gcd 1)")
         if self.theorem in ("T3", "T5"):
             if not self.jump.alpha_attr < 2.0:
                 problems.append(
@@ -242,18 +235,11 @@ _PARSE = {
 _FORMAT = {"weights": _format_weights}
 
 
-def _parse_bool(text: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-    except KeyError:
-        raise ValueError("not a boolean") from None
-
-
 def _read(section: str, key: str, raw, default):
     """The value of ``key`` from its INI text (or a flag's value) ``raw``,
-    parsed by its ``_PARSE`` entry, else by the type of ``default``.  A bool
-    takes the INI words; a float that is not finite is rejected."""
-    parse = _PARSE.get(key, _parse_bool if isinstance(default, bool) else type(default))
+    parsed by its ``_PARSE`` entry, else by the type of ``default``; a
+    float that is not finite is rejected."""
+    parse = _PARSE.get(key, type(default))
     try:
         value = parse(raw)
         if isinstance(value, float) and not math.isfinite(value):

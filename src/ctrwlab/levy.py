@@ -18,6 +18,7 @@ Two independent routes to the local time are kept:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -42,10 +43,6 @@ class LevyPath:
     @property
     def dt(self) -> float:
         return self.horizon_u / self.grid_n
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon_u, self.grid_n + 1)
 
 
 def simulate_levy(
@@ -107,7 +104,13 @@ def local_time_zero(path: LevyPath, eps: float, u_grid) -> list[LocalTimeEstimat
     if np.any(u < 0.0) or np.any(u > path.horizon_u + 1e-12):
         raise DomainError("u_grid must lie within [0, horizon_u]")
     occupancy = np.abs(path.values) <= eps
-    ends = np.searchsorted(path.times, u, side="right")
+
+    # the grid times as np.linspace(0, horizon_u, grid_n + 1) has them:
+    # k dt below the end, horizon_u at it
+    def time(k: int) -> float:
+        return k * dt if k < path.grid_n else path.horizon_u
+
+    ends = [bisect.bisect_right(range(path.grid_n + 1), ui, key=time) for ui in u]
     counts = np.array([np.count_nonzero(occupancy[:end]) for end in ends])
     values = dt * counts / (2.0 * eps)
     return [

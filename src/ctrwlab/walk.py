@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DivergentSumError, DomainError, JumpCapError, SimulationError
 from .rng import RandomSource
-from .stable import PIECE, JumpLaw, Lattice, norm_constant
+from .stable import PIECE, JumpLaw, norm_constant
 
 
 @dataclass(frozen=True)
@@ -212,14 +212,15 @@ def simulate_skeleton(
     path's law is the same for any block size.
 
     The laws draw each block with ``sample(rng, size, out=...)`` into the
-    calling thread's three work arrays of block + 1 entries, for the sites,
-    the holds and the clock (see ``_work_arrays`` for when a walk reuses
-    them); they hold at most 3 (2**20 + 1) doubles, 25 MB, per thread.
-    The running sums of the jumps, 1/Lambda and the clock are then taken
-    ``PIECE`` entries at a time, each sum carried from piece to piece, so
-    they add in the same order as over the whole block, and the walk stops
-    at the piece that holds the horizon.  A path that ends in its first
-    block is a set of views of the work arrays; a longer one is copied out.
+    sites, holds and clock arrays at offset ``base``, the holds so far: the
+    calling thread's work arrays of block + 1 entries (see ``_work_arrays``
+    for when a walk reuses them; at most 3 (2**20 + 1) doubles, 25 MB),
+    or, once a block does not fit, fresh arrays that copy the path so far
+    with room for about as much again.  The running sums of the jumps,
+    1/Lambda and the clock are then taken ``PIECE`` entries at a time, each
+    sum carried from piece to piece, so they add in the same order as over
+    the whole block, and the walk stops at the piece that holds the
+    horizon.  So every path is views of one array set.
     """
     if not 0.0 < horizon_t < math.inf:
         raise DomainError(f"horizon_t must be positive and finite, got {horizon_t}")
@@ -227,27 +228,29 @@ def simulate_skeleton(
     mean_hold = wait.mu if env is None else wait.mu * env.lambda_bar_inv
     block = int(min(max(1024, 1.25 * horizon_t / mean_hold), 2**20))
     sites, holds, clock = _work_arrays(block + 1)
-    passed = []  # copies of the blocks the path runs through
-    elapsed = 0.0
-    count = 0  # jumps committed so far, held to JUMP_CAP
-    last_site = 0.0
+    sites[0] = clock[0] = 0.0
+    base = 0  # holds committed so far, held to JUMP_CAP
 
     while True:
-        wait.sample(rng, block, out=holds[:block])
-        jump.sample(rng, block, out=sites[1:])
-        # hold k of this block is spent at sites[k], the block's first site
-        # plus its first k jumps; clock[k + 1] is that hold's end
-        sites[0] = last_site
-        clock[0] = elapsed
+        if base + block >= len(sites):
+            grown = tuple(np.empty(2 * base + 1) for _ in range(3))
+            for new, old in zip(grown, (sites, holds, clock)):
+                new[: base + 1] = old[: base + 1]
+            sites, holds, clock = grown
+        wait.sample(rng, block, out=holds[base : base + block])
+        jump.sample(rng, block, out=sites[base + 1 : base + block + 1])
+        # hold base + k is spent at sites[base + k], the block's first site
+        # plus its first k jumps; clock[base + k + 1] is that hold's end
+        origin = sites[base]
         jumped = 0.0  # the sum of this block's jumps so far
-        for start in range(0, block, PIECE):
-            stop = min(start + PIECE, block)
+        for start in range(base, base + block, PIECE):
+            stop = min(start + PIECE, base + block)
             steps = sites[start + 1 : stop + 1]
-            if start:
+            if start > base:
                 steps[0] += jumped
             np.cumsum(steps, out=steps)
             jumped = steps[-1]
-            steps += last_site
+            steps += origin
             if env is not None:
                 holds[start:stop] *= env.lambda_inv_many(sites[start:stop])
             ticks = clock[start : stop + 1]
@@ -255,22 +258,15 @@ def simulate_skeleton(
             np.cumsum(ticks, out=ticks)
             if ticks[-1] > horizon_t:
                 break
-        # hold j (block-local) straddles the horizon; none does if j == block
+        # hold j straddles the horizon; none does if j == base + block
         j = start + int(np.searchsorted(ticks[1:], horizon_t, side="right"))
-        count += j
-        if count > JUMP_CAP:
+        if j > JUMP_CAP:
             raise JumpCapError(JUMP_CAP, horizon_t)
-        if j < block:
+        if j < base + block:
             break
-        passed.append((sites[:block].copy(), holds[:block].copy(), clock[1:].copy()))
-        elapsed = float(clock[block])
-        last_site = float(sites[block])
+        base = j
 
-    kept = (sites[: j + 1], holds[: j + 1], clock[1 : j + 2])
-    if passed:
-        kept = tuple(np.concatenate(parts) for parts in zip(*passed, kept))
-    positions, path_holds, jump_times = kept
-    path = PathSkeleton(positions, path_holds, horizon_t, jump_times)
+    path = PathSkeleton(sites[: j + 1], holds[: j + 1], horizon_t, clock[1 : j + 2])
     path.check_bracketing()
     return path
 
@@ -337,7 +333,7 @@ _LATTICE_N_START = 16
 LATTICE_N_CAP = 2**22
 
 
-def lattice_limit_constant(law: Lattice, f: Callable[[np.ndarray], np.ndarray]) -> float:
+def lattice_limit_constant(law: JumpLaw, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """b * sum over n of f(b n), the lattice replacement for the
     dx-integral in the limit law: the centred jumps generate bZ, so the
     walk's sites are exactly bZ.
@@ -348,11 +344,9 @@ def lattice_limit_constant(law: Lattice, f: Callable[[np.ndarray], np.ndarray]) 
     ``LATTICE_N_CAP`` raises ``DivergentSumError``.  A law whose walk does
     not live on exactly bZ raises ``DomainError``.
     """
-    if not isinstance(law, Lattice):
-        raise DomainError("lattice_limit_constant requires a Lattice jump law")
-    if not law.generates_lattice:
-        raise DomainError("the centred lattice jumps must generate bZ "
-                          "(integer multiples of b with gcd 1)")
+    if not getattr(law, "generates_lattice", False):
+        raise DomainError("lattice_limit_constant requires a lattice law: centred "
+                          "jumps that generate bZ (integer multiples of b with gcd 1)")
     a, b = law.offset, law.b
 
     def partial(n: int) -> float:

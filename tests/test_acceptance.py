@@ -110,7 +110,7 @@ def test_03_heavy_tail_theorem2_with_trend():
     calibrated = calibrate_sigma(law, 2000, 20_000, spawn_rng(SEED, "acc3-cal"))
     sigma_ok = abs(calibrated.sigma - law.sigma_attr) / law.sigma_attr < 0.05
 
-    def run(t, short=False):
+    def run(t):
         cfg = ExperimentConfig(
             theorem="T2",
             jump=law,
@@ -121,12 +121,11 @@ def test_03_heavy_tail_theorem2_with_trend():
             limit_replicates=2000,
             master_seed=SEED,
             ks_threshold=0.08,
-            allow_short_horizon=short,
         )
         return run_experiment(cfg)
 
     rep_long = run(1e4)
-    rep_short = run(1e2, short=True)
+    rep_short = run(1e2)
     ks_long = rep_long.rows[-1].ks
     ks_short = rep_short.rows[-1].ks
     report(

@@ -469,7 +469,6 @@ EVERY_KEY = {
     "env_config_seed": ("11", 11),
     "fdd_pairs": ("0.5,1.0", ((0.5, 1.0),)),
     "label": ("round trip", "round trip"),
-    "allow_short_horizon": ("yes", True),
 }
 
 
@@ -501,6 +500,7 @@ class TestConfigParsing:
             "limit_eps = 0.01",
             "escape_probability = 0.01",
             "g_support_halfwidth = 12",
+            "allow_short_horizon = yes",
         ],
     )
     def test_grid_sampler_keys_rejected(self, tmp_path, key):
@@ -706,7 +706,7 @@ class TestConfigEcho:
         [
             PASSING_CONFIG.replace("u_grid = 0.5,1.0", "u_grid = 0.25,0.5,1.0\n"
                                    "fdd_pairs = 0.25,0.5;0.5,1.0\nlabel = round trip"),
-            PASSING_CONFIG.replace("t = 1000", "t = 100\nallow_short_horizon = yes"),
+            PASSING_CONFIG.replace("t = 1000", "t = 100"),
             LATTICE_CONFIG,
         ],
         ids=["t2-fdd", "t2-short-horizon", "t2-lattice"],
@@ -788,23 +788,6 @@ class TestTypedErrors:
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert result.output.startswith("Usage:")  # nothing written before the error
-
-    @pytest.mark.parametrize(
-        "text, value",
-        [(t, True) for t in ("yes", "on", "1", "true", "True")]
-        + [(t, False) for t in ("no", "off", "0", "false")],
-    )
-    def test_bool_key_takes_the_ini_words(self, tmp_path, text, value):
-        cfg_path = tmp_path / "bool.cfg"
-        cfg_path.write_text(f"[experiment]\nallow_short_horizon = {text}\n")
-        cfg, _ = load_experiment_config(cfg_path)
-        assert cfg.allow_short_horizon is value
-
-    def test_bool_key_rejects_other_words(self, tmp_path):
-        cfg_path = tmp_path / "bool.cfg"
-        cfg_path.write_text("[experiment]\nallow_short_horizon = maybe\n")
-        with pytest.raises(ExperimentConfigError, match="allow_short_horizon 'maybe': not a"):
-            load_experiment_config(cfg_path)
 
 
 # Imports the CLI, then runs tiny T2, T3 and T5 comparisons, each needing a

@@ -33,7 +33,14 @@ from ctrwlab.harness import (
     suggest_window_halfwidth,
 )
 from ctrwlab.rng import spawn_rng
-from ctrwlab.stable import Gaussian, StableParams, SymmetricPareto, rademacher, sample_stable
+from ctrwlab.stable import (
+    Gaussian,
+    Lattice,
+    StableParams,
+    SymmetricPareto,
+    rademacher,
+    sample_stable,
+)
 from ctrwlab.walk import DeterministicWait, Exponential, FunctionalSpec, ParetoWait
 from oracles import sample_config_eager, split_self_test
 
@@ -201,18 +208,26 @@ class TestValidation:
         with pytest.raises(ExperimentConfigError):
             small_config(replicates=50).validate()
 
-    def test_short_horizon_needs_flag(self):
-        with pytest.raises(ExperimentConfigError):
-            small_config(t=100.0).validate()
-        small_config(t=100.0, allow_short_horizon=True).validate()
+    def test_any_positive_finite_horizon_validates(self):
+        small_config(t=100.0).validate()
+        small_config(t=0.5).validate()
+        for t in (0.0, -1.0):
+            with pytest.raises(ExperimentConfigError, match="t must be finite and positive"):
+                small_config(t=t).validate()
 
     def test_lattice_jumps_rejected_for_t2(self):
         with pytest.raises(ExperimentConfigError):
             small_config(jump=rademacher()).validate()
 
     def test_t2_lattice_requires_lattice(self):
-        with pytest.raises(ExperimentConfigError):
-            small_config(theorem="T2-lattice").validate()
+        # a law with no lattice and a lattice off bZ fail the same one check
+        for jump in (Gaussian(2.0), Lattice(b=1.0, weights=((0, 0.5), (1, 0.5)))):
+            with pytest.raises(ExperimentConfigError) as info:
+                small_config(theorem="T2-lattice", jump=jump).validate()
+            assert str(info.value) == (
+                "T2-lattice requires a lattice law: centred jumps that generate bZ "
+                "(integer multiples of b with gcd 1)"
+            )
 
     def test_t3_requires_env_and_heavy_tail(self):
         with pytest.raises(ExperimentConfigError):
@@ -431,7 +446,7 @@ class TestRunExperiment:
 
     def test_t3_trend_in_t(self):
         # longer horizons do not worsen the fit beyond MC noise
-        def run(t, short=False):
+        def run(t):
             return run_experiment(
                 small_config(
                     theorem="T3",
@@ -442,12 +457,11 @@ class TestRunExperiment:
                     replicates=300,
                     limit_replicates=300,
                     ks_threshold=1.0,
-                    allow_short_horizon=short,
                 )
             )
 
         ks_long = run(1e4).rows[-1].ks
-        ks_short = run(1e2, short=True).rows[-1].ks
+        ks_short = run(1e2).rows[-1].ks
         noise_band = ks_critical_value(300, 300, 0.95)
         assert ks_long <= ks_short + 2.0 * noise_band
 

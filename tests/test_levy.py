@@ -108,8 +108,24 @@ class TestLocalTimeZero:
         path = simulate_levy(1.5, 0.0, 10_000, 1.0, spawn_rng(SEED, "count"))
         u = [0.0, 0.1, 0.25, 0.5, 0.99, 1.0]
         cum = np.concatenate(([0], np.cumsum(np.abs(path.values) <= 0.05)))
-        counts = cum[np.searchsorted(path.times, u, side="right")]
+        times = np.linspace(0.0, path.horizon_u, path.grid_n + 1)
+        counts = cum[np.searchsorted(times, u, side="right")]
         expected = path.dt * counts / (2.0 * 0.05)
+        assert [e.value for e in local_time_zero(path, 0.05, u)] == expected.tolist()
+
+    # grid_n (horizon_u / grid_n) is horizon_u, below it, and above it
+    @pytest.mark.parametrize("grid_n, horizon_u", [(10_000, 1.0), (3000, 3.3), (3000, 0.9)])
+    def test_grid_index_is_linspaces(self, grid_n, horizon_u):
+        # u at, just below and just above grid points, the first and last
+        # among them, count the grid times that np.linspace gives; a path
+        # held at 0 makes the count the index itself
+        path = injected_path(np.zeros(grid_n + 1), horizon=horizon_u)
+        times = np.linspace(0.0, horizon_u, grid_n + 1)
+        picks = spawn_rng(SEED, "index-picks", grid_n).integers(0, grid_n + 1, 40)
+        on = times[np.concatenate((picks, [0, 1, grid_n - 1, grid_n]))]
+        u = np.concatenate((on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf)))
+        u = u[u >= 0.0]
+        expected = path.dt * np.searchsorted(times, u, side="right") / (2.0 * 0.05)
         assert [e.value for e in local_time_zero(path, 0.05, u)] == expected.tolist()
 
     def test_monotone_in_u(self):

@@ -364,7 +364,7 @@ class TestLatticeLimitConstant:
             lattice_limit_constant(rademacher(), f)
 
     def test_requires_lattice_law(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="centred jumps that generate bZ"):
             lattice_limit_constant(Gaussian(1.0), lambda x: x)
 
     def test_requires_jumps_that_generate_bz(self):
@@ -511,6 +511,14 @@ class TestWorkArrays:
         del first
         simulate_skeleton(jump, wait, t, spawn_rng(SEED, "live", 3), env=env)
         assert tail.tobytes() == tail_copy.tobytes()
+        # a path through many blocks, and later walks through many blocks
+        jump, wait, t, env = SKELETON_CASES["many-blocks"]
+        long = simulate_skeleton(jump, wait, t, spawn_rng(SEED, "live", 4), env=env)
+        kept = [a.copy() for a in (long.positions, long.holds, long.jump_times)]
+        for k in (5, 6):
+            simulate_skeleton(jump, wait, t, spawn_rng(SEED, "live", k), env=env)
+        for live, copy in zip((long.positions, long.holds, long.jump_times), kept):
+            assert live.tobytes() == copy.tobytes()
 
     def test_a_dropped_path_leaves_its_arrays_to_the_next_walk(self):
         jump, wait, t, env = SKELETON_CASES["many-pieces"]
@@ -523,6 +531,14 @@ class TestWorkArrays:
         del path
         path = simulate_skeleton(jump, wait, t, spawn_rng(SEED, "reuse", 2), env=env)
         assert start(path) == first
+        # a path through many blocks continues in arrays of its own, so the
+        # next walk reuses the thread's set while that path still lives
+        jump, wait, t, env = SKELETON_CASES["many-blocks"]
+        long = simulate_skeleton(jump, wait, t, spawn_rng(SEED, "reuse", 3), env=env)
+        assert long.n_jumps > 1024  # past its first block of 1024 draws
+        work = walk._work.walk
+        simulate_skeleton(jump, wait, t, spawn_rng(SEED, "reuse", 4), env=env)
+        assert walk._work.walk is work
 
     def test_threads_walk_in_arrays_of_their_own(self):
         # more threads than cores, switching often: each walk matches its

@@ -35,7 +35,6 @@ from .harness import (
 )
 from .levy import (
     LevyPath,
-    LocalTimeEstimate,
     local_time_constant,
     local_time_zero,
     sample_limit_rv,

@@ -62,7 +62,7 @@ def main():
 @click.option("--beta", type=float, default=0.0, show_default=True)
 @click.option("--scale", type=float, default=1.0, show_default=True)
 @click.option("--loc", type=float, default=0.0, show_default=True)
-@click.option("--n", type=int, default=1, show_default=True)
+@click.option("--n", type=click.IntRange(min=1), default=1, show_default=True)
 @_seed_option
 @click.option("--out", default="-", show_default=True)
 def cmd_sample_stable(alpha, beta, scale, loc, n, seed, out):
@@ -71,8 +71,6 @@ def cmd_sample_stable(alpha, beta, scale, loc, n, seed, out):
         params = StableParams(alpha, beta, scale, loc)
     except DomainError as exc:
         raise click.UsageError(str(exc))
-    if n < 1:
-        raise click.UsageError("--n must be at least 1")
     samples = sample_stable(params, spawn_rng(seed, "cli-sample-stable"), n)
     with _output(out) as fh:
         for s in samples:
@@ -118,7 +116,7 @@ def _build_from_flags(section, kind, flags):
 @click.option("--env", "env_kind", type=click.Choice(tuple(KINDS["env"])),
               default="none", show_default=True)
 @click.option("--t", type=float, required=True)
-@click.option("--paths", type=int, default=1, show_default=True)
+@click.option("--paths", type=click.IntRange(min=1), default=1, show_default=True)
 @_seed_option
 @click.option("--out", default="-", show_default=True)
 @click.option("--dump-skeleton", "dump_path", default=None,
@@ -128,8 +126,6 @@ def cmd_simulate(jump_kind, wait_kind, env_kind, t, paths, seed, out, dump_path,
     """Simulate path skeletons; emit per-path summary CSV."""
     if not 0.0 < t < np.inf:
         raise click.UsageError("--t must be positive and finite")
-    if paths < 1:
-        raise click.UsageError("--paths must be at least 1")
     jump = _build_from_flags("jump", jump_kind, law_flags)
     wait = _build_from_flags("wait", wait_kind, law_flags)
     env = _build_from_flags("env", env_kind, law_flags)
@@ -152,15 +148,13 @@ def cmd_simulate(jump_kind, wait_kind, env_kind, t, paths, seed, out, dump_path,
 @main.command("local-time")
 @click.option("--alpha", type=float, required=True)
 @click.option("--beta", type=float, default=0.0, show_default=True)
-@click.option("--paths", type=int, default=1, show_default=True)
+@click.option("--paths", type=click.IntRange(min=1), default=1, show_default=True)
 @_seed_option
 @click.option("--u-grid", default="0.25,0.5,0.75,1.0", show_default=True)
 @click.option("--out", default="-", show_default=True)
 def cmd_local_time(alpha, beta, paths, seed, u_grid, out):
     """Draw the local time at zero of stable Levy paths exactly; CSV rows
     (path,u,value)."""
-    if paths < 1:
-        raise click.UsageError("--paths must be at least 1")
     try:
         u = tuple(float(x) for x in u_grid.split(","))
         values = [

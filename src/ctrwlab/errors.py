@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the parameter checks
+that raise them."""
+
+import math
 
 
 class CtrwLabError(Exception):
@@ -7,6 +10,21 @@ class CtrwLabError(Exception):
 
 class DomainError(CtrwLabError, ValueError):
     """An argument is outside the mathematical domain of an operation."""
+
+
+def check_positive_finite(**values: float) -> None:
+    """Raise DomainError naming the first of ``values`` that is not positive
+    and finite; a nan fails."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
+def check_finite(**values: float) -> None:
+    """Raise DomainError naming the first of ``values`` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 class SimulationError(CtrwLabError):

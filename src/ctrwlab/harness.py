@@ -35,7 +35,7 @@ from .environment import (
     power_kernel,
     sample_config,
 )
-from .errors import ExperimentConfigError, ReportIOError
+from .errors import ExperimentConfigError, ReportIOError, check_finite
 from .levy import sample_limit_rv
 from .rng import spawn_rng
 from .stable import (
@@ -155,6 +155,7 @@ def _indicator_zero() -> FunctionalSpec:
 
 
 def _box(lo: float = -0.5, hi: float = 0.5) -> FunctionalSpec:
+    check_finite(lo=lo, hi=hi)
     if lo >= hi:
         raise ExperimentConfigError("box functional needs lo < hi")
     return FunctionalSpec(

@@ -21,7 +21,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -69,21 +68,12 @@ def simulate_levy(
     )
 
 
-@dataclass(frozen=True)
-class LocalTimeEstimate:
-    u: float
-    eps: float
-    value: float
-    warning: Optional[str] = None
-
-
-def local_time_zero(path: LevyPath, eps: float, u_grid) -> list[LocalTimeEstimate]:
+def local_time_zero(path: LevyPath, eps: float, u_grid) -> np.ndarray:
     """Occupation-time estimates of the local time at zero up to each u.
 
-    value = dt * #{k : k dt <= u, |Z(k dt)| <= eps} / (2 eps).  Requires
-    eps above the path's one-step increment scale dt^(1/alpha) (the window
-    must not be jumped across between grid points); estimates carry a
-    precision warning when eps is within a factor 10 of it.
+    The estimate at u is dt * #{k : k dt <= u, |Z(k dt)| <= eps} / (2 eps).
+    Requires eps above the path's one-step increment scale dt^(1/alpha) (the
+    window must not be jumped across between grid points).
     """
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
@@ -93,12 +83,6 @@ def local_time_zero(path: LevyPath, eps: float, u_grid) -> list[LocalTimeEstimat
         raise DomainError(
             f"eps={eps:.3g} is below the grid resolution scale "
             f"dt^(1/alpha)={resolution:.3g}; refine the grid"
-        )
-    warning = None
-    if eps < 10.0 * resolution:
-        warning = (
-            f"eps={eps:.3g} is within 10x of the resolution scale "
-            f"{resolution:.3g}; estimates may be grid-biased"
         )
     u = np.atleast_1d(np.asarray(u_grid, dtype=float))
     if np.any(u < 0.0) or np.any(u > path.horizon_u + 1e-12):
@@ -112,11 +96,7 @@ def local_time_zero(path: LevyPath, eps: float, u_grid) -> list[LocalTimeEstimat
 
     ends = [bisect.bisect_right(range(path.grid_n + 1), ui, key=time) for ui in u]
     counts = np.array([np.count_nonzero(occupancy[:end]) for end in ends])
-    values = dt * counts / (2.0 * eps)
-    return [
-        LocalTimeEstimate(u=float(ui), eps=eps, value=float(vi), warning=warning)
-        for ui, vi in zip(u, values)
-    ]
+    return dt * counts / (2.0 * eps)
 
 
 def local_time_constant(alpha: float, beta: float) -> float:

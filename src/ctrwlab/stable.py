@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_finite, check_positive_finite
 from .rng import RandomSource
 
 
@@ -57,10 +57,8 @@ class StableParams:
             raise DomainError(f"alpha must be in (1, 2], got {self.alpha}")
         if not -1.0 <= self.beta <= 1.0:
             raise DomainError(f"beta must be in [-1, 1], got {self.beta}")
-        if not 0.0 < self.scale_c < math.inf:
-            raise DomainError(f"scale_c must be positive and finite, got {self.scale_c}")
-        if not math.isfinite(self.location_a):
-            raise DomainError(f"location_a must be finite, got {self.location_a}")
+        check_positive_finite(scale_c=self.scale_c)
+        check_finite(location_a=self.location_a)
 
 
 def sample_stable(params: StableParams, rng: RandomSource, size):
@@ -110,8 +108,7 @@ class SkewedPareto:
                 f"Pareto tail index must be in (1, 2) for normal attraction, "
                 f"got {self.alpha}"
             )
-        if not 0.0 < self.x_min < math.inf:
-            raise DomainError(f"x_min must be positive and finite, got {self.x_min}")
+        check_positive_finite(x_min=self.x_min)
         if not 0.0 <= self.p_right <= 1.0:
             raise DomainError(f"p_right must be in [0, 1], got {self.p_right}")
 
@@ -179,8 +176,7 @@ class Gaussian:
     variance: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.variance < math.inf:
-            raise DomainError(f"variance must be positive and finite, got {self.variance}")
+        check_positive_finite(variance=self.variance)
 
     has_density = True
     alpha_attr = 2.0
@@ -207,10 +203,7 @@ class Lattice:
     weights: tuple[tuple[int, float], ...] = ((-1, 0.5), (1, 0.5))
 
     def __post_init__(self):
-        if not 0.0 < self.b < math.inf:
-            raise DomainError(
-                f"lattice spacing b must be positive and finite, got {self.b}"
-            )
+        check_positive_finite(b=self.b)
         if not self.weights:
             raise DomainError("weight table must be nonempty")
         total = sum(p for _, p in self.weights)

@@ -22,7 +22,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DivergentSumError, DomainError, JumpCapError, SimulationError
+from .errors import (DivergentSumError, DomainError, JumpCapError, SimulationError,
+                     check_positive_finite)
 from .rng import RandomSource
 from .stable import PIECE, JumpLaw, norm_constant
 
@@ -34,8 +35,7 @@ class Exponential:
     mean: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.mean < math.inf:
-            raise DomainError(f"mean must be positive and finite, got {self.mean}")
+        check_positive_finite(mean=self.mean)
 
     @property
     def mu(self) -> float:
@@ -60,8 +60,7 @@ class ParetoWait:
                 f"wait index must exceed 1 for an integrable wait and be finite, "
                 f"got {self.index}"
             )
-        if not 0.0 < self.x_min < math.inf:
-            raise DomainError(f"x_min must be positive and finite, got {self.x_min}")
+        check_positive_finite(x_min=self.x_min)
 
     @property
     def mu(self) -> float:
@@ -80,11 +79,7 @@ class GammaWait:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
-            raise DomainError(
-                f"shape and scale must be positive and finite, "
-                f"got {self.shape}, {self.scale}"
-            )
+        check_positive_finite(shape=self.shape, scale=self.scale)
 
     @property
     def mu(self) -> float:
@@ -102,8 +97,7 @@ class DeterministicWait:
     mean: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.mean < math.inf:
-            raise DomainError(f"mean must be positive and finite, got {self.mean}")
+        check_positive_finite(mean=self.mean)
 
     @property
     def mu(self) -> float:
@@ -222,8 +216,7 @@ def simulate_skeleton(
     the whole block, and the walk stops at the piece that holds the
     horizon.  So every path is views of one array set.
     """
-    if not 0.0 < horizon_t < math.inf:
-        raise DomainError(f"horizon_t must be positive and finite, got {horizon_t}")
+    check_positive_finite(horizon_t=horizon_t)
 
     mean_hold = wait.mu if env is None else wait.mu * env.lambda_bar_inv
     block = int(min(max(1024, 1.25 * horizon_t / mean_hold), 2**20))

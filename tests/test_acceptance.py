@@ -252,7 +252,7 @@ def test_09_brownian_local_time_oracle():
     n_paths = 10**4
     for j in range(n_paths):
         path = simulate_levy(2.0, 0.0, 10**5, 1.0, spawn_rng(SEED, "acc9", j))
-        total += local_time_zero(path, 0.01, [1.0])[0].value
+        total += local_time_zero(path, 0.01, [1.0])[0]
     mean = total / n_paths
     target = 1.0 / math.sqrt(math.pi)
     report(

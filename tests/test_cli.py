@@ -746,7 +746,7 @@ class TestTypedErrors:
              "not finite"),
             (T5_CONFIG, "kernel = bump", "kernel = bump\namplitude = inf", "not finite"),
             (T5_CONFIG, "kernel = bump", "kernel = power\ndecay_beta = 0",
-             "decay_beta and tail_tol must be positive"),
+             "decay_beta must be positive and finite"),
             (LATTICE_CONFIG, "kind = rademacher", "kind = lattice\nweights = -1:nan,1:0.5",
              "weights must be positive and sum to 1"),
             (LATTICE_CONFIG, "kind = rademacher", "kind = lattice\nweights = 0:1.0",
@@ -776,11 +776,13 @@ class TestTypedErrors:
             (["simulate", "--t", "20", "--wait-mean", "nan"], "not finite"),
             (["env", "--exp-moment", "--amplitude", "inf"], "not finite"),
             (["env", "--exp-moment", "--kernel", "power", "--decay-beta", "0"],
-             "decay_beta and tail_tol must be positive"),
+             "decay_beta must be positive and finite"),
             (["sample-stable", "--alpha", "1.5", "--scale", "inf"], "scale_c must be positive"),
             (["local-time", "--alpha", "1.5", "--u-grid", "0.5,inf"], "u_grid must be finite"),
             (["env", "--exp-moment", "--a", "nan"], "--a must be finite"),
             (["env", "--exp-moment", "--a", "inf"], "--a must be finite"),
+            (["sample-stable", "--alpha", "1.5", "--n", "0"], "0 is not in the range x>=1"),
+            (["simulate", "--t", "20", "--paths", "0"], "0 is not in the range x>=1"),
         ],
     )
     def test_bad_flag_value_exit_two(self, runner, args, message):

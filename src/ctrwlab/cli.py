@@ -125,7 +125,7 @@ def cmd_simulate(jump_kind, wait_kind, env_kind, t, paths, seed, out, dump_path,
                  **law_flags):
     """Simulate path skeletons; emit per-path summary CSV."""
     if not 0.0 < t < np.inf:
-        raise click.UsageError("--t must be positive and finite")
+        raise click.UsageError(f"--t must be positive and finite, got {t}")
     jump = _build_from_flags("jump", jump_kind, law_flags)
     wait = _build_from_flags("wait", wait_kind, law_flags)
     env = _build_from_flags("env", env_kind, law_flags)

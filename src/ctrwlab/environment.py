@@ -270,8 +270,7 @@ class DeterministicEnv:
     name: str = "deterministic"
 
     def __post_init__(self):
-        if not self.lambda_bar_inv > 0.0:
-            raise DomainError("lambda_bar_inv must be positive")
+        check_positive_finite(lambda_bar_inv=self.lambda_bar_inv)
 
     def lambda_inv_many(self, x: np.ndarray) -> np.ndarray:
         return _checked_inverse(

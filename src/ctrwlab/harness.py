@@ -97,7 +97,7 @@ class ExperimentConfig:
         if self.replicates < 100 or self.limit_replicates < 100:
             problems.append("replicates and limit_replicates must be >= 100")
         if not 0.0 < self.t < math.inf:
-            problems.append(f"t must be finite and positive, got {self.t}")
+            problems.append(f"t must be positive and finite, got {self.t}")
         u = np.asarray(self.u_grid, dtype=float)
         # written so that a nan entry fails
         if u.size == 0 or not np.all((u > 0.0) & (u <= 1.0)) or np.any(np.diff(u) <= 0):
@@ -112,29 +112,20 @@ class ExperimentConfig:
                 problems.append(f"{key} must be nonnegative, got {seed}")
         halfwidth = self.env_window_halfwidth
         if halfwidth is not None and not 0.0 < halfwidth < math.inf:
-            problems.append("env_window_halfwidth must be positive and finite")
+            problems.append(f"env_window_halfwidth must be positive and finite, got {halfwidth}")
         if self.theorem != "T5":
             for key in ("env_window_halfwidth", "env_config_seed"):
                 if getattr(self, key) is not None:
                     problems.append(f"{key} is a T5 key: {self.theorem} samples no configuration")
-        if self.theorem == "T2":
-            if not getattr(self.jump, "has_density", False):
-                problems.append(
-                    "T2 requires a jump law with an absolutely continuous "
-                    "component; use T2-lattice for lattice jumps"
-                )
+        if self.theorem in ("T2", "T3", "T5") and not getattr(self.jump, "has_density", False):
+            problems.append(f"{self.theorem} requires a jump law with an absolutely "
+                            "continuous component; T2-lattice takes lattice jumps")
         if self.theorem == "T2-lattice" and not getattr(self.jump, "generates_lattice", False):
             problems.append("T2-lattice requires a lattice law: centred jumps that "
                             "generate bZ (integer multiples of b with gcd 1)")
-        if self.theorem in ("T3", "T5"):
-            if not self.jump.alpha_attr < 2.0:
-                problems.append(
-                    "environment theorems require alpha < 2 (normal attraction, "
-                    "non-Gaussian)"
-                )
-            if not getattr(self.jump, "has_density", False):
-                problems.append("environment theorems require absolutely "
-                                "continuous jumps")
+        if self.theorem in ("T3", "T5") and not self.jump.alpha_attr < 2.0:
+            problems.append("environment theorems require alpha < 2 (normal attraction, "
+                            "non-Gaussian)")
         if (self.theorem == "T3") != (self.env is not None):
             problems.append("T3, and only T3, takes a deterministic environment")
         if (self.theorem == "T5") != (self.kernel is not None):
@@ -238,16 +229,14 @@ _FORMAT = {"weights": _format_weights}
 
 def _read(section: str, key: str, raw, default):
     """The value of ``key`` from its INI text (or a flag's value) ``raw``,
-    parsed by its ``_PARSE`` entry, else by the type of ``default``; a
-    float that is not finite is rejected."""
+    parsed by its ``_PARSE`` entry, else by the type of ``default``.  It
+    only parses: the constructor or ``validate`` that owns the key bounds
+    the value, a nan or an infinity included."""
     parse = _PARSE.get(key, type(default))
     try:
-        value = parse(raw)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError("not finite")
+        return parse(raw)
     except ValueError as exc:
         raise ExperimentConfigError(f"bad {section} {key} {raw!r}: {exc}") from exc
-    return value
 
 
 def build(section: str, kind: str, values=None):
@@ -423,7 +412,7 @@ def _functional_task(k: int):
     cfg, path_env, u_grid, _ = _WORKER_CTX["ctx"]
     rng = spawn_rng(cfg.master_seed, "walk", k)
     path = simulate_skeleton(cfg.jump, cfg.wait, cfg.t, rng, env=path_env)
-    return normalized_functional(path, cfg.functional, cfg.jump, cfg.t, u_grid)
+    return normalized_functional(path, cfg.functional, cfg.jump, u_grid)
 
 
 def _limit_task(j: int):

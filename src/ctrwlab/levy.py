@@ -85,7 +85,8 @@ def local_time_zero(path: LevyPath, eps: float, u_grid) -> np.ndarray:
             f"dt^(1/alpha)={resolution:.3g}; refine the grid"
         )
     u = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    if np.any(u < 0.0) or np.any(u > path.horizon_u + 1e-12):
+    # written so that a nan entry fails
+    if not np.all((u >= 0.0) & (u <= path.horizon_u + 1e-12)):
         raise DomainError("u_grid must lie within [0, horizon_u]")
     occupancy = np.abs(path.values) <= eps
 

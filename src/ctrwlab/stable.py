@@ -105,8 +105,8 @@ class SkewedPareto:
     def __post_init__(self):
         if not 1.0 < self.alpha < 2.0:
             raise DomainError(
-                f"Pareto tail index must be in (1, 2) for normal attraction, "
-                f"got {self.alpha}"
+                f"alpha, the Pareto tail index, must be in (1, 2) for normal "
+                f"attraction, got {self.alpha}"
             )
         check_positive_finite(x_min=self.x_min)
         if not 0.0 <= self.p_right <= 1.0:

@@ -162,8 +162,7 @@ class PathSkeleton:
             )
 
 
-# Each thread's work arrays: the walk's sites, holds and clock, and the
-# functional's prefix sums.
+# Each thread's work arrays: the walk's sites, holds and clock.
 _work = threading.local()
 # The references to an array that only a tuple holds, counted in a loop over
 # that tuple; every array that views it holds one more (its base).
@@ -288,18 +287,16 @@ def additive_functional(
     ``f`` acts site by site, so it is called on ``PIECE`` sites at a time.
     """
     u = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    if np.any(u < 0.0) or np.any(u > 1.0):
+    # written so that a nan entry fails
+    if not np.all((u >= 0.0) & (u <= 1.0)):
         raise DomainError("u_grid must lie in [0, 1]")
     cutoffs = u * path.horizon_t
     done = np.searchsorted(path.jump_times, cutoffs, side="right")
-    # prefix[k] is the sum of the first k hold * f(site) terms, built in the
-    # calling thread's reused array (only copies leave it)
+    # prefix[k] is the sum of the first k hold * f(site) terms
     n = path.n_jumps + 1
-    prefix = getattr(_work, "prefix", None)
-    if prefix is None or len(prefix) <= n:
-        prefix = _work.prefix = np.empty(n + 1)
-    prefix, terms = prefix[: n + 1], prefix[1 : n + 1]
+    prefix = np.empty(n + 1)
     prefix[0] = 0.0
+    terms = prefix[1:]
     for start in range(0, n, PIECE):
         piece = slice(start, start + PIECE)
         np.multiply(path.holds[piece], spec.f(path.positions[piece]), out=terms[piece])
@@ -313,12 +310,12 @@ def normalized_functional(
     path: PathSkeleton,
     spec: FunctionalSpec,
     law: JumpLaw,
-    t: float,
     u_grid,
 ) -> np.ndarray:
-    """c_t-scaled additive functional, with c_t from the jump law's
-    attraction metadata (sigma t^(1/alpha - 1) under normal attraction)."""
-    return norm_constant(law, t) * additive_functional(path, spec, u_grid)
+    """c_t-scaled additive functional, with t the path's horizon and c_t
+    from the jump law's attraction metadata (sigma t^(1/alpha - 1) under
+    normal attraction)."""
+    return norm_constant(law, path.horizon_t) * additive_functional(path, spec, u_grid)
 
 
 _LATTICE_TOL = 1e-10

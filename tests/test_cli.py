@@ -149,7 +149,7 @@ class TestSimulate:
         out = tmp_path / "s.csv"
         result = runner.invoke(main, ["simulate", "--t", t, "--out", str(out)])
         assert result.exit_code == 2
-        assert "finite" in result.output
+        assert f"--t must be positive and finite, got {t}" in result.output
         assert not out.exists()
 
     def test_env_kind_builds_the_table_environment(self, runner):
@@ -556,7 +556,8 @@ class TestConfigParsing:
         )
         result = runner.invoke(main, ["compare", "--config", str(cfg_path)])
         assert result.exit_code == 2
-        assert "env_window_halfwidth must be positive" in result.output
+        message = f"env_window_halfwidth must be positive and finite, got {float(halfwidth)}"
+        assert message in result.output
 
     def test_readme_experiment_table_lists_every_key(self, tmp_path):
         # each row's default, written as an INI value (empty when unset),
@@ -737,14 +738,18 @@ class TestTypedErrors:
     @pytest.mark.parametrize(
         "base, old, new, message",
         [
-            (PASSING_CONFIG, "ks_threshold = 0.2", "ks_threshold = nan", "not finite"),
-            (PASSING_CONFIG, "variance = 2.0", "variance = inf", "not finite"),
-            (PASSING_CONFIG, "mean = 1.0", "mean = inf", "not finite"),
-            (PASSING_CONFIG, "kind = gauss_bump", "kind = box\nlo = -inf", "not finite"),
+            (PASSING_CONFIG, "ks_threshold = 0.2", "ks_threshold = nan",
+             "ks_threshold must be in (0, 1]"),
+            (PASSING_CONFIG, "variance = 2.0", "variance = inf",
+             "variance must be positive and finite, got inf"),
+            (PASSING_CONFIG, "mean = 1.0", "mean = inf", "mean must be positive and finite, got inf"),
+            (PASSING_CONFIG, "kind = gauss_bump", "kind = box\nlo = -inf",
+             "lo must be finite, got -inf"),
             (PASSING_CONFIG.replace("T2", "T3"), "kind = gauss_bump",
              "kind = gauss_bump\n\n[env]\nkind = periodic_inverse\namplitude = nan",
-             "not finite"),
-            (T5_CONFIG, "kernel = bump", "kernel = bump\namplitude = inf", "not finite"),
+             "need mean_level > |amplitude|"),
+            (T5_CONFIG, "kernel = bump", "kernel = bump\namplitude = inf",
+             "amplitude must be positive and finite, got inf"),
             (T5_CONFIG, "kernel = bump", "kernel = power\ndecay_beta = 0",
              "decay_beta must be positive and finite"),
             (LATTICE_CONFIG, "kind = rademacher", "kind = lattice\nweights = -1:nan,1:0.5",
@@ -772,9 +777,12 @@ class TestTypedErrors:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["simulate", "--t", "20", "--jump-variance", "inf"], "not finite"),
-            (["simulate", "--t", "20", "--wait-mean", "nan"], "not finite"),
-            (["env", "--exp-moment", "--amplitude", "inf"], "not finite"),
+            (["simulate", "--t", "20", "--jump-variance", "inf"],
+             "variance must be positive and finite, got inf"),
+            (["simulate", "--t", "20", "--wait-mean", "nan"],
+             "mean must be positive and finite, got nan"),
+            (["env", "--exp-moment", "--amplitude", "inf"],
+             "amplitude must be positive and finite, got inf"),
             (["env", "--exp-moment", "--kernel", "power", "--decay-beta", "0"],
              "decay_beta must be positive and finite"),
             (["sample-stable", "--alpha", "1.5", "--scale", "inf"], "scale_c must be positive"),

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ctrwlab.environment import Kernel, bump_kernel, periodic_env, power_kernel
+from ctrwlab.environment import (DeterministicEnv, Kernel, bump_kernel, periodic_env,
+                                 power_kernel)
 from ctrwlab.errors import DomainError, check_finite, check_positive_finite
 from ctrwlab.harness import _box
 from ctrwlab.rng import spawn_rng
@@ -45,6 +46,8 @@ POSITIVE_FINITE = {
     "power_kernel.amplitude": (lambda v: power_kernel(amplitude=v), "amplitude"),
     "power_kernel.decay_beta": (lambda v: power_kernel(decay_beta=v), "decay_beta"),
     "periodic_env.mean_level": (lambda v: periodic_env(mean_level=v), "mean_level"),
+    "DeterministicEnv.lambda_bar_inv": (
+        lambda v: DeterministicEnv(lambda x: 2.0 + 0 * x, v), "lambda_bar_inv"),
     "simulate_skeleton.horizon_t": (_walk, "horizon_t"),
 }
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -212,7 +213,7 @@ class TestValidation:
         small_config(t=100.0).validate()
         small_config(t=0.5).validate()
         for t in (0.0, -1.0):
-            with pytest.raises(ExperimentConfigError, match="t must be finite and positive"):
+            with pytest.raises(ExperimentConfigError, match="t must be positive and finite, got"):
                 small_config(t=t).validate()
 
     def test_lattice_jumps_rejected_for_t2(self):
@@ -288,9 +289,10 @@ class TestValidation:
         "overrides, message",
         [
             ({"u_grid": (0.5, math.nan)}, "u_grid"),
-            ({"t": math.nan}, "t must be finite"),
-            ({"t": math.inf}, "t must be finite"),
-            ({"env_window_halfwidth": math.inf}, "env_window_halfwidth must be positive"),
+            ({"t": math.nan}, "t must be positive and finite, got nan"),
+            ({"t": math.inf}, "t must be positive and finite, got inf"),
+            ({"env_window_halfwidth": math.inf},
+             "env_window_halfwidth must be positive and finite, got inf"),
             ({"env": periodic_env()}, "only T3"),
             ({"kernel": bump_kernel()}, "only T5"),
             ({"theorem": "T5", "kernel": bump_kernel(), "env": periodic_env()}, "only T3"),
@@ -656,6 +658,20 @@ class TestKindTable:
             build("wait", "weibull")
         with pytest.raises(ExperimentConfigError, match="bad jump variance"):
             build("jump", "gaussian", {"variance": "two"})
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "section, kind, key",
+        [(section, kind, key) for section, kinds in KINDS.items() for kind in kinds
+         for key, default in harness.kind_keys(section, kind).items()
+         if isinstance(default, float)],
+    )
+    def test_value_not_finite_rejected_by_its_owner(self, section, kind, key, raw):
+        # the reader only parses; the constructor that owns the key rejects
+        # the value and names it
+        with pytest.raises((DomainError, ExperimentConfigError)) as info:
+            build(section, kind, {key: raw})
+        assert re.search(rf"\b{key}\b", str(info.value)), str(info.value)
 
     def test_describe_uses_ini_names_and_values(self):
         assert describe(ParetoWait(2.0, 0.5)) == {"kind": "pareto", "index": 2.0, "x_min": 0.5}

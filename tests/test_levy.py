@@ -133,6 +133,11 @@ class TestLocalTimeZero:
         values = local_time_zero(path, 0.02, np.linspace(0.1, 1.0, 10)).tolist()
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    def test_nan_u_rejected(self):
+        path = injected_path(np.zeros(2001))
+        with pytest.raises(DomainError, match="u_grid must lie within"):
+            local_time_zero(path, 0.1, [0.5, math.nan])
+
     def test_eps_below_resolution_rejected(self):
         path = simulate_levy(2.0, 0.0, 1000, 1.0, spawn_rng(SEED, "res"))
         with pytest.raises(DomainError):

@@ -294,6 +294,16 @@ class TestAdditiveFunctional:
         with pytest.raises(DomainError):
             additive_functional(path, spec, [1.2])
 
+    def test_nan_u_is_a_domain_error(self):
+        path = simulate_skeleton(
+            Gaussian(1.0), Exponential(1.0), 10.0, spawn_rng(SEED, "u")
+        )
+        spec = FunctionalSpec(f=lambda x: x)
+        with pytest.raises(DomainError, match="u_grid must lie in"):
+            additive_functional(path, spec, [0.5, math.nan])
+        with pytest.raises(DomainError, match="u_grid must lie in"):
+            normalized_functional(path, spec, Gaussian(1.0), [math.nan])
+
     def test_u_zero_gives_zero(self):
         path = simulate_skeleton(
             Gaussian(1.0), Exponential(1.0), 10.0, spawn_rng(SEED, "u0")
@@ -309,7 +319,7 @@ class TestNormalizedFunctional:
             Gaussian(2.0), Exponential(1.0), 1e4, spawn_rng(SEED, "comp")
         )
         spec = FunctionalSpec(f=lambda x: np.ones_like(x))
-        value = normalized_functional(path, spec, Gaussian(2.0), 1e4, [1.0])[0]
+        value = normalized_functional(path, spec, Gaussian(2.0), [1.0])[0]
         assert value == pytest.approx(100.0, rel=1e-12)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_positive_finite
 from .rng import RandomSource
 from .stable import StableParams, _tan_half_pi, sample_stable
 
@@ -54,8 +54,7 @@ def simulate_levy(
     """Path with iid stable increments; Z(0) = 0 exactly."""
     if grid_n < 1000:
         raise DomainError(f"grid_n must be at least 1000, got {grid_n}")
-    if not horizon_u > 0.0:
-        raise DomainError(f"horizon_u must be positive, got {horizon_u}")
+    check_positive_finite(horizon_u=horizon_u)
     params = StableParams(alpha, beta)  # standard law; dt enters as a scale
     dt = horizon_u / grid_n
     increments = sample_stable(params, rng, grid_n)
@@ -75,8 +74,7 @@ def local_time_zero(path: LevyPath, eps: float, u_grid) -> np.ndarray:
     Requires eps above the path's one-step increment scale dt^(1/alpha) (the
     window must not be jumped across between grid points).
     """
-    if not eps > 0.0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    check_positive_finite(eps=eps)
     dt = path.dt
     resolution = dt ** (1.0 / path.alpha)
     if eps < resolution:

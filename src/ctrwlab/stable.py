@@ -266,6 +266,5 @@ JumpLaw = Union[SymmetricPareto, SkewedPareto, Gaussian, Lattice]
 
 def norm_constant(law: JumpLaw, t: float) -> float:
     """The normalizer c_t = sigma_attr t^(1/alpha - 1)."""
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    check_positive_finite(t=t)
     return law.sigma_attr * t ** (1.0 / law.alpha_attr - 1.0)

@@ -333,7 +333,7 @@ def test_10_determinism_across_worker_counts(tmp_path):
     parsed = json.loads(outputs[0])
     report(
         "10 determinism",
-        identical and parsed["master_seed"] == 314159,
+        identical and parsed["config_echo"]["master_seed"] == 314159,
         "byte-identical JSON (runtime line excluded) for worker counts 1 and 3 "
         "with the same master seed",
     )

@@ -7,8 +7,9 @@ from ctrwlab.environment import (DeterministicEnv, Kernel, bump_kernel, periodic
                                  power_kernel)
 from ctrwlab.errors import DomainError, check_finite, check_positive_finite
 from ctrwlab.harness import _box
+from ctrwlab.levy import local_time_zero, simulate_levy
 from ctrwlab.rng import spawn_rng
-from ctrwlab.stable import Gaussian, Lattice, SkewedPareto, StableParams
+from ctrwlab.stable import Gaussian, Lattice, SkewedPareto, StableParams, norm_constant
 from ctrwlab.walk import (
     DeterministicWait,
     Exponential,
@@ -25,6 +26,10 @@ def _kernel(**bounds):
 
 def _walk(horizon_t):
     return simulate_skeleton(Gaussian(), Exponential(), horizon_t, spawn_rng(0, "domain"))
+
+
+def _levy(horizon_u):
+    return simulate_levy(1.5, 0.0, 1000, horizon_u, spawn_rng(0, "domain"))
 
 
 # Each constructor with one parameter set to the value under test, and the
@@ -49,6 +54,9 @@ POSITIVE_FINITE = {
     "DeterministicEnv.lambda_bar_inv": (
         lambda v: DeterministicEnv(lambda x: 2.0 + 0 * x, v), "lambda_bar_inv"),
     "simulate_skeleton.horizon_t": (_walk, "horizon_t"),
+    "norm_constant.t": (lambda v: norm_constant(Gaussian(), v), "t"),
+    "simulate_levy.horizon_u": (_levy, "horizon_u"),
+    "local_time_zero.eps": (lambda v: local_time_zero(_levy(1.0), v, [0.5, 1.0]), "eps"),
 }
 
 FINITE = {

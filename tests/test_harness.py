@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -324,9 +325,18 @@ class TestRunExperiment:
         assert report.limit_constant == pytest.approx(math.sqrt(math.pi), rel=1e-12)
         assert all(r.ks < 0.2 for r in report.rows)
 
-    def test_determinism_across_worker_counts(self):
-        rep1 = run_experiment(small_config(workers=1))
-        rep2 = run_experiment(small_config(workers=3))
+    @pytest.mark.parametrize(
+        "theorem, extra",
+        [
+            ("T2", {}),
+            ("T2-lattice",
+             {"jump": rademacher(), "functional": build("functional", "indicator_zero")}),
+            ("T3", {"jump": SymmetricPareto(1.5), "env": periodic_env()}),
+        ],
+    )
+    def test_determinism_across_worker_counts(self, theorem, extra):
+        rep1 = run_experiment(small_config(theorem=theorem, workers=1, **extra))
+        rep2 = run_experiment(small_config(theorem=theorem, workers=3, **extra))
         d1, d2 = rep1.to_dict(), rep2.to_dict()
         d1.pop("runtime_seconds")
         d2.pop("runtime_seconds")
@@ -550,9 +560,8 @@ class TestFddJointCheck:
         ks_at = {row.u: row.ks for row in rep.rows}
         assert len(rep.fdd) == 2
         for frag in rep.fdd:
-            assert frag["ks_u1"] == ks_at[frag["u1"]]
-            assert frag["ks_u2"] == ks_at[frag["u2"]]
-            worst = max(frag["ks_u1"], frag["ks_u2"], frag["ks_increment"])
+            assert "ks_u1" not in frag and "ks_u2" not in frag
+            worst = max(ks_at[frag["u1"]], ks_at[frag["u2"]], frag["ks_increment"])
             assert frag["passed"] == (worst <= frag["threshold"])
 
     def test_limit_increments_are_nonnegative(self):
@@ -581,7 +590,13 @@ class TestReports:
         emit_report(report, dest, "json")
         parsed = json.loads(dest.read_text())
         assert parsed == report.to_dict()
-        assert parsed["schema_version"] == "2"
+        assert parsed["schema_version"] == "3"
+
+    def test_config_lives_only_in_the_echo(self):
+        report = run_experiment(small_config()).to_dict()
+        keys = {f.name for f in fields(ExperimentConfig)} - set(KINDS)
+        assert not keys & set(report)
+        assert keys - {"workers"} <= set(report["config_echo"])
 
     def test_csv_row_count(self, tmp_path):
         report = run_experiment(small_config())

@@ -15,16 +15,15 @@ phi(x - y)`` for a nonnegative kernel ``phi`` bounded by
 for the power kernel.  Every read of the configuration goes through
 ``PoissonConfig.between``, which checks the window.
 
-The window fixes a sampled configuration, and a walk that leaves it fails,
-but the memory held follows the span the reads reach: ``sample_config``
-streams the window's uniforms and keeps the points of its middle eighth,
-and the first read beyond them draws the same uniforms again and holds the
-whole window.
+A sampled configuration is drawn cell by cell, each cell from a stream of
+its own (a Poisson process on disjoint cells is independent Poisson
+processes on them), so one key fixes the points in any window.  A walk
+that leaves the window fails, and the memory held follows the span the
+reads reach.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,7 +33,7 @@ import numpy as np
 
 from .errors import (BoundaryError, DomainError, QuadratureError, check_finite,
                      check_positive_finite)
-from .rng import RandomSource
+from .rng import RandomSource, spawn_rng
 
 
 @dataclass(frozen=True)
@@ -108,10 +107,24 @@ def bump_kernel(amplitude: float = math.log(2.0)) -> Kernel:
     )
 
 
-# sample_config draws its uniforms in chunks of this many, and holds at first
-# only the points of this share of the window, around the window's centre.
-_CHUNK = 1 << 16
-_FIRST_SPAN = 1.0 / 8.0
+# Cell k of a sampled configuration is [k _CELL_WIDTH, (k + 1) _CELL_WIDTH),
+# and a window may meet at most _MAX_CELLS cells.
+_CELL_WIDTH = 2.0**14
+_MAX_CELLS = 1 << 16
+
+
+def _cell_rng(key: int, k: int) -> RandomSource:
+    """Cell ``k``'s own stream; seed paths take no negative ints, so ``k``
+    is zigzag-coded."""
+    return spawn_rng(key, "env-cell", 2 * k if k >= 0 else -2 * k - 1)
+
+
+def _cell_points(key: int, k: int) -> np.ndarray:
+    """Cell ``k``'s points, sorted: a Poisson count, then its uniforms."""
+    rng = _cell_rng(key, k)
+    points = rng.uniform(k * _CELL_WIDTH, (k + 1) * _CELL_WIDTH, rng.poisson(_CELL_WIDTH))
+    points.sort()
+    return points
 
 
 class PoissonConfig:
@@ -121,12 +134,9 @@ class PoissonConfig:
 
     ``PoissonConfig(points, lo, hi)`` holds a sorted copy of ``points``; a
     window that is not ``lo <= hi``, or a point outside it, raises
-    DomainError.  A configuration that ``sample_config`` draws holds only
-    the points of the middle ``_FIRST_SPAN`` of the window, and keeps the
-    generator as it stood before its uniforms: the first read past that
-    span draws the same uniforms again and holds the whole window.  The
-    points are fixed either way; only the share held grows, and in a forked
-    worker it grows in that worker's copy.
+    DomainError.  A configuration that ``sample_config`` draws holds one
+    run of cells, clipped to the window, that covers every range read so
+    far; a read past it grows it, in a forked worker that worker's copy.
     """
 
     def __init__(self, points, lo: float, hi: float):
@@ -139,32 +149,20 @@ class PoissonConfig:
         self.lo = lo
         self.hi = hi
         self._held = held
-        self._count = held.size
-        self._span = (lo, hi)
-        # the generator at the first uniform, while the span is not the window
-        self._replay = None
+        # a sampled configuration's key, and the cells [start, stop) it holds
+        self._key = None
+        self._cells = None
 
-    @classmethod
-    def _sample(cls, lo: float, hi: float, rng: RandomSource) -> PoissonConfig:
-        """Draw the Poisson count and then its uniforms from ``rng``, holding
-        the points of the middle ``_FIRST_SPAN`` of [lo, hi]."""
-        config = cls(np.empty(0), lo, hi)
-        try:
-            config._count = int(rng.poisson(hi - lo))
-        except ValueError:
-            # numpy draws no Poisson count with a mean near 2**63 or above
-            raise DomainError(
-                f"window [{lo:.6g}, {hi:.6g}] is too long to draw its Poisson count"
-            ) from None
-        config._replay = copy.deepcopy(rng)
-        mid, half = 0.5 * (lo + hi), 0.5 * _FIRST_SPAN * (hi - lo)
-        config._hold(rng, (mid - half, mid + half))
-        return config
-
-    @property
+    @cached_property
     def count(self) -> int:
         """The number of points in the window."""
-        return self._count
+        if self._key is None:
+            return self._held.size
+        first, last = int(self.lo // _CELL_WIDTH), int(self.hi // _CELL_WIDTH)
+        # an inner cell's count is its first draw; the edge cells are clipped
+        inner = sum(int(_cell_rng(self._key, k).poisson(_CELL_WIDTH))
+                    for k in range(first + 1, last))
+        return inner + sum(self._cell(k).size for k in {first, last})
 
     @property
     def points(self) -> np.ndarray:
@@ -179,40 +177,39 @@ class PoissonConfig:
             raise BoundaryError(
                 f"range [{a:.6g}, {b:.6g}] leaves the window [{self.lo:.6g}, {self.hi:.6g}]"
             )
-        if self._replay is not None and not (self._span[0] <= a and b <= self._span[1]):
-            self._hold(self._replay, (self.lo, self.hi))
-            self._replay = None
+        if self._key is not None:
+            self._cover(int(a // _CELL_WIDTH), int(b // _CELL_WIDTH) + 1)
         pts = self._held
         return pts[np.searchsorted(pts, a, side="left") : np.searchsorted(pts, b, side="right")]
 
-    def _hold(self, rng: RandomSource, span: tuple[float, float]) -> None:
-        """Hold, sorted, the points in ``span`` of the ``count`` uniforms
-        that ``rng`` draws next, drawn ``_CHUNK`` at a time."""
-        a, b = span
-        expected = self._count * (b - a) / (self.hi - self.lo) if self._count else 0.0
-        held = np.empty(int(expected + 8.0 * math.sqrt(expected)) + 1)
-        n = 0
-        for start in range(0, self._count, _CHUNK):
-            u = rng.uniform(self.lo, self.hi, min(_CHUNK, self._count - start))
-            u = u[(a <= u) & (u <= b)]
-            if n + u.size > held.size:
-                held = np.resize(held, 2 * (n + u.size))
-            held[n : n + u.size] = u
-            n += u.size
-        self._held = held[:n]
-        self._held.sort()
-        self._span = span
+    def _cell(self, k: int) -> np.ndarray:
+        points = _cell_points(self._key, k)
+        return points[(self.lo <= points) & (points <= self.hi)]
+
+    def _cover(self, start: int, stop: int) -> None:
+        """Grow the run of cells held to cover cells [start, stop)."""
+        low, high = self._cells or (start, start)
+        below = [self._cell(k) for k in range(start, low)]
+        above = [self._cell(k) for k in range(high, stop)]
+        if below or above:
+            self._held = np.concatenate([*below, self._held, *above])
+            self._cells = (min(start, low), max(stop, high))
 
 
 def sample_config(window: tuple[float, float], rng: RandomSource) -> PoissonConfig:
-    """Poisson(length) many points, iid uniform on the window.
-
-    ``rng`` gives the count and then the uniforms as one
-    ``rng.uniform(lo, hi, count)`` would, and ends where that leaves it.
-    The configuration holds the points of the middle ``_FIRST_SPAN`` of the
-    window until a read reaches past them, and then the whole window.  A
-    window too long for numpy's Poisson draw raises DomainError."""
-    return PoissonConfig._sample(float(window[0]), float(window[1]), rng)
+    """The Poisson configuration of the cells under one key drawn from
+    ``rng``, restricted to the window.  Its points in any range depend on
+    that key alone, not on the window or the order of reads.  A window
+    that meets more than ``_MAX_CELLS`` cells raises DomainError."""
+    config = PoissonConfig(np.empty(0), float(window[0]), float(window[1]))
+    # written so that an infinite end fails
+    if not config.hi // _CELL_WIDTH - config.lo // _CELL_WIDTH < _MAX_CELLS:
+        raise DomainError(
+            f"window [{config.lo:.6g}, {config.hi:.6g}] is too long to draw its Poisson "
+            f"count: it meets more than {_MAX_CELLS} cells of width {_CELL_WIDTH:g}"
+        )
+    config._key = int(rng.integers(2**63))
+    return config
 
 
 def save_config(config: PoissonConfig, destination) -> None:
@@ -305,9 +302,8 @@ class ShotNoiseEnv:
     to share across parallel path simulations in quenched mode.  Every read
     of the points is ``config.between`` over the sites widened by the
     cutoff, so a site within the cutoff of the window's edge raises
-    BoundaryError.  Only the share of the points a sampled configuration
-    holds grows, to the whole window once a read passes its first span;
-    each forked worker grows its own copy, to the same points.
+    BoundaryError.  Only the run of cells a sampled configuration holds
+    grows; each forked worker grows its own copy, to the same points.
     """
 
     kernel: Kernel

@@ -344,10 +344,8 @@ def suggest_window_halfwidth(
     t/mu jumps (delays only slow it down), its displacement scale is
     sigma (t/mu)^(1/alpha), and the standardized supremum tail is bounded
     by a constant multiple of the marginal stable tail.  The width grows
-    with t and with ``n_paths``, and the configuration sampled in it has a
-    new Poisson count and new points, so one ``env_config_seed`` gives
-    different configurations at different replicate counts.  The tail
-    constant needs alpha < 2, which ``validate`` requires of T5.
+    with t and with ``n_paths``.  The tail constant needs alpha < 2, which
+    ``validate`` requires of T5.
     """
     alpha = jump.alpha_attr
     n_max = t / wait_mu + 6.0 * math.sqrt(t / wait_mu) + 100.0

@@ -372,7 +372,7 @@ def dump_skeleton(path: PathSkeleton, destination) -> None:
 
 def load_skeleton(source, horizon_t: float) -> PathSkeleton:
     """Read a ``dump_skeleton`` file as a path up to ``horizon_t`` and check its
-    bracketing; a line other than ``k S_k h_(k+1)``, h > 0, is a DomainError."""
+    bracketing; a line other than ``k S_k h_(k+1)``, finite with h > 0, is a DomainError."""
     sites, holds = [], []
     with open(source) as fh:
         for number, line in enumerate(fh, 1):
@@ -380,10 +380,13 @@ def load_skeleton(source, horizon_t: float) -> PathSkeleton:
                 continue
             try:
                 k, site, hold = line.split()
-                if int(k) != len(sites) or not float(hold) > 0.0:
-                    raise ValueError(f"expected index {len(sites)} and a positive hold")
-                sites.append(float(site))
-                holds.append(float(hold))
+                site, hold = float(site), float(hold)
+                if int(k) != len(sites) or not (math.isfinite(site) and 0.0 < hold < math.inf):
+                    raise ValueError(
+                        f"expected index {len(sites)}, a finite site and a finite hold > 0"
+                    )
+                sites.append(site)
+                holds.append(hold)
             except ValueError as exc:
                 raise DomainError(f"skeleton line {number}: {exc}") from exc
     path = PathSkeleton(np.asarray(sites), np.asarray(holds), horizon_t)

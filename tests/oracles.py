@@ -15,9 +15,10 @@ from typing import Callable
 import numpy as np
 
 from ctrwlab.distances import ks_critical_value, ks_two_sample
+from ctrwlab import environment
 from ctrwlab.environment import EnvSpec, Kernel, PoissonConfig, _kinks
 from ctrwlab.errors import CtrwLabError, DomainError
-from ctrwlab.rng import RandomSource
+from ctrwlab.rng import RandomSource, spawn_rng
 from ctrwlab.stable import (
     Gaussian,
     JumpLaw,
@@ -161,14 +162,19 @@ def split_self_test(samples: np.ndarray, n_rounds: int, rng: RandomSource) -> fl
 
 
 def sample_config_eager(window: tuple[float, float], rng: RandomSource) -> PoissonConfig:
-    """The whole window's configuration in one draw: the Poisson count, then
-    every uniform at once, sorted.  ``sample_config`` must give the same
-    points and leave ``rng`` in the same state."""
+    """The whole window's configuration in one draw: one key from ``rng``,
+    then every cell that meets the window from its own stream (its Poisson
+    count, then its uniforms), clipped to the window.  ``sample_config``
+    must give the same points and leave ``rng`` in the same state."""
     lo, hi = float(window[0]), float(window[1])
-    count = int(rng.poisson(hi - lo))
-    points = rng.uniform(lo, hi, count)
-    points.sort()
-    return PoissonConfig(points, lo, hi)
+    key = int(rng.integers(2**63))
+    width = environment._CELL_WIDTH
+    cells = []
+    for k in range(int(lo // width), int(hi // width) + 1):
+        cell_rng = spawn_rng(key, "env-cell", 2 * k if k >= 0 else -2 * k - 1)
+        cells.append(cell_rng.uniform(k * width, (k + 1) * width, cell_rng.poisson(width)))
+    points = np.concatenate(cells)
+    return PoissonConfig(points[(lo <= points) & (points <= hi)], lo, hi)
 
 
 # The Cesaro check's panel rule: Gauss-Legendre of this order on panels at

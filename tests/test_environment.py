@@ -162,18 +162,42 @@ class TestPoissonConfig:
         assert abs(corr) < 0.05
 
     def test_holds_the_span_not_the_window(self):
-        # of the window's 1e6 points, only the first span's and one chunk's
-        # scratch are ever built
+        # of the window's 1e6 points, a read near 0 builds only the two
+        # cells it meets
         tracemalloc.start()
         try:
             cfg = sample_config((-5e5, 5e5), spawn_rng(SEED, "in-place"))
+            near = cfg.between(-100.0, 100.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        half = 5e5 * environment._FIRST_SPAN
-        span = cfg.between(-half, half)
-        assert peak <= span.nbytes + 2 * environment._CHUNK * span.itemsize
-        assert peak <= 0.25 * cfg.count * span.itemsize
+        cell = environment._CELL_WIDTH * near.itemsize
+        assert peak <= 6 * cell
+        assert peak <= 0.1 * cfg.count * near.itemsize
+
+    def test_points_do_not_depend_on_the_window_or_the_reads(self):
+        wide = sample_config((-1e5, 1e5), spawn_rng(SEED, "cells"))
+        right = wide.between(0.0, 5e4)
+        narrow = sample_config((-3e4, 6e4), spawn_rng(SEED, "cells"))
+        np.testing.assert_array_equal(narrow.between(-3e4, 6e4), wide.between(-3e4, 6e4))
+        np.testing.assert_array_equal(narrow.between(0.0, 5e4), right)
+
+    def test_no_seam_at_the_cell_edges(self):
+        # 20 cells' points: the gaps, those across cell edges among them,
+        # are Exp(1), and the positions within their cells U(0, width)
+        stats = pytest.importorskip("scipy.stats")
+        width = environment._CELL_WIDTH
+        pts = sample_config((-10 * width, 10 * width), spawn_rng(SEED, "seam")).points
+        assert stats.kstest(np.diff(pts), "expon").pvalue > 0.01
+        assert stats.kstest(np.mod(pts, width), "uniform", args=(0.0, width)).pvalue > 0.01
+
+    def test_window_of_too_many_cells_rejected(self):
+        width = environment._CELL_WIDTH
+        sample_config((0.0, (environment._MAX_CELLS - 1) * width), spawn_rng(SEED, "long"))
+        with pytest.raises(DomainError, match="too long to draw its Poisson count"):
+            sample_config((0.0, environment._MAX_CELLS * width), spawn_rng(SEED, "long"))
+        with pytest.raises(DomainError, match="too long"):
+            sample_config((0.0, math.inf), spawn_rng(SEED, "long"))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -188,6 +212,7 @@ class TestPoissonConfig:
         lazy = sample_config((lo, hi), lazy_rng)
         eager = sample_config_eager((lo, hi), eager_rng)
         assert lazy.count == eager.count
+        # both draw one key from the generator and nothing more
         assert lazy_rng.bit_generator.state == eager_rng.bit_generator.state
         pts = eager.points
         for c, d in cuts:

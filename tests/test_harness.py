@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from ctrwlab import harness
+from ctrwlab import environment, harness
 from ctrwlab.distances import ks_critical_value, ks_two_sample, wasserstein1
 from ctrwlab.environment import (
     PoissonConfig,
@@ -76,13 +76,18 @@ def t5_config(**overrides):
     )
 
 
-def quenched_constant(cfg, config_seed):
-    """integral of g/Lambda over the configuration a T5 run of ``cfg``
-    samples from ``config_seed``, in its default window."""
+def default_config(cfg, config_seed):
+    """The configuration a T5 run of ``cfg`` samples from ``config_seed``,
+    in its default window."""
     halfwidth = suggest_window_halfwidth(
         cfg.jump, cfg.wait.mu, cfg.t, cfg.replicates, cfg.kernel.cutoff_r
     )
-    config = sample_config((-halfwidth, halfwidth), spawn_rng(config_seed, "environment"))
+    return sample_config((-halfwidth, halfwidth), spawn_rng(config_seed, "environment"))
+
+
+def quenched_constant(cfg, config_seed):
+    """integral of g/Lambda over ``default_config(cfg, config_seed)``."""
+    config = default_config(cfg, config_seed)
     return quenched_integral(cfg.functional.f, ShotNoiseEnv(kernel=cfg.kernel, config=config))
 
 
@@ -519,23 +524,37 @@ class TestRunExperiment:
         assert "g_support_halfwidth" not in echo
         assert run_experiment(small_config()).config_echo["env_config_seed"] is None
 
+    def test_one_configuration_seed_gives_one_configuration_in_any_window(self):
+        # replicates 1000 and 2000 size different default windows; the
+        # points of the smaller one, and so the quenched constant, are the
+        # same in both
+        small, large = (t5_config(replicates=m) for m in (1000, 2000))
+        inner, outer = default_config(small, 7), default_config(large, 7)
+        assert outer.lo < inner.lo and inner.hi < outer.hi
+        np.testing.assert_array_equal(inner.points, outer.between(inner.lo, inner.hi))
+        assert quenched_constant(small, 7) == quenched_constant(large, 7)
+
     def test_span_widening_in_workers_keeps_reports_identical(self, monkeypatch):
-        # the walks reach past the configuration's first span, so each
-        # worker widens its own copy; the points, and so the report, are
-        # those of the eager draw of the whole window at any worker count
-        cfg = dict(env_window_halfwidth=5000.0, t=1000.0, replicates=120,
+        # the walks draw only the cells they reach, and each forked worker
+        # widens its own copy; the points, and so the report, are those of
+        # the eager draw of the whole window at any worker count.  Narrow
+        # cells make the walks widen the run many times.
+        monkeypatch.setattr(environment, "_CELL_WIDTH", 64.0)
+        cfg = dict(env_window_halfwidth=1e5, t=1000.0, replicates=120,
                    limit_replicates=120, ks_threshold=1.0)
-        spans = []
-        hold = PoissonConfig._hold
+        cells = []
+        draw = environment._cell_points
 
-        def recorded_hold(self, rng, span):
-            spans.append(span)
-            hold(self, rng, span)
+        def recorded_draw(key, k):
+            cells.append(k)
+            return draw(key, k)
 
-        monkeypatch.setattr(PoissonConfig, "_hold", recorded_hold)
+        monkeypatch.setattr(environment, "_cell_points", recorded_draw)
         reports = [run_experiment(t5_config(workers=1, **cfg))]
-        # sampled, then widened by the walks; forked workers widen unseen
-        assert len(spans) >= 2
+        # no cell is drawn twice: the walks draw the cells they reach, and
+        # the count the window's two edge cells
+        assert len(set(cells)) == len(cells)
+        assert 4 < len(cells) < 2e5 / 64.0
         reports.append(run_experiment(t5_config(workers=2, **cfg)))
         monkeypatch.setattr(harness, "sample_config", sample_config_eager)
         reports.append(run_experiment(t5_config(workers=2, **cfg)))

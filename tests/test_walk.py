@@ -404,7 +404,8 @@ class TestSkeletonIO:
 
     @pytest.mark.parametrize(
         "line",
-        ["1 x 1.0", "1 2.0", "1 2.0 1.0 4", "2 2.0 1.0", "one 2.0 1.0", "1 2.0 -0.5", "1 2.0 0"],
+        ["1 x 1.0", "1 2.0", "1 2.0 1.0 4", "2 2.0 1.0", "one 2.0 1.0", "1 2.0 -0.5", "1 2.0 0",
+         "1 nan 1.0", "1 inf 1.0", "1 -inf 1.0", "1 2.0 inf"],
     )
     def test_malformed_line_names_its_number(self, tmp_path, line):
         dest = tmp_path / "skeleton.txt"

@@ -8,12 +8,10 @@ from .environment import (
     PoissonConfig,
     ShotNoiseEnv,
     bump_kernel,
-    load_config,
     mean_lambda_inv_analytic,
     periodic_env,
     power_kernel,
     sample_config,
-    save_config,
     sup_growth_check,
     theorem5_constant,
 )

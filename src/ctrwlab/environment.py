@@ -96,7 +96,8 @@ def bump_kernel(amplitude: float = math.log(2.0)) -> Kernel:
     check_positive_finite(amplitude=amplitude)
 
     def phi(x):
-        return amplitude * np.clip(1.0 - np.abs(x), 0.0, None) ** 2
+        # np.maximum gives np.clip's bits without its Python-level wrapper
+        return amplitude * np.maximum(1.0 - np.abs(x), 0.0) ** 2
 
     return Kernel(
         phi=phi,
@@ -164,11 +165,6 @@ class PoissonConfig:
                     for k in range(first + 1, last))
         return inner + sum(self._cell(k).size for k in {first, last})
 
-    @property
-    def points(self) -> np.ndarray:
-        """Every point of the window, sorted."""
-        return self.between(self.lo, self.hi)
-
     def between(self, a: float, b: float) -> np.ndarray:
         """The sorted points in [a, b].  A range that leaves the window
         raises BoundaryError: points beyond it were never sampled."""
@@ -210,38 +206,6 @@ def sample_config(window: tuple[float, float], rng: RandomSource) -> PoissonConf
         )
     config._key = int(rng.integers(2**63))
     return config
-
-
-def save_config(config: PoissonConfig, destination) -> None:
-    """One coordinate per line, 17 significant digits; the first line holds
-    the window."""
-    with open(destination, "w") as fh:
-        fh.write(f"# window {config.lo:.17g} {config.hi:.17g}\n")
-        for p in config.points:
-            fh.write(f"{p:.17g}\n")
-
-
-def load_config(source) -> PoissonConfig:
-    """Read a configuration in the ``save_config`` format.  The points may
-    come in any order (``PoissonConfig`` sorts them and rejects one outside
-    the window); a line that is not a number raises DomainError."""
-    points = []
-    lo = hi = None
-    with open(source) as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            try:
-                if line.startswith("#"):
-                    parts = line.split()
-                    if len(parts) >= 4 and parts[1] == "window":
-                        lo, hi = float(parts[2]), float(parts[3])
-                elif line:
-                    points.append(float(line))
-            except ValueError as exc:
-                raise DomainError(f"config line {number}: {exc}") from exc
-    if lo is None or hi is None:
-        raise DomainError("config file lacks a window header line")
-    return PoissonConfig(points, lo, hi)
 
 
 def _checked_inverse(vals: np.ndarray) -> np.ndarray:
@@ -347,11 +311,13 @@ class ShotNoiseEnv:
         xs, lo, order = xs[rank], lo[rank], order[rank]
         summing = n - np.cumsum(np.bincount(counts))
         sums = np.zeros(n)
-        # pass d adds every site's d-th neighbour, so a site sums its own
-        # points in ascending order and no scratch array outgrows the batch
+        # pass d adds every site's d-th neighbour, near[lo], and then moves
+        # lo on to the next, so a site sums its own points in ascending
+        # order and no scratch array outgrows the batch
         for d in range(most):
             m = summing[d]
-            sums[:m] += self.kernel.phi(xs[:m] - near[lo[:m] + d])
+            sums[:m] += self.kernel.phi(xs[:m] - near[lo[:m]])
+            lo[:m] += 1
         out = np.empty(n)
         out[order] = sums
         return out.reshape(x.shape)
@@ -486,14 +452,17 @@ def _kinks(env: EnvSpec, lo: float, hi: float) -> np.ndarray:
 
 
 def sup_growth_check(env: ShotNoiseEnv, n_list) -> list[tuple[int, float]]:
-    """Estimate of sup over |x| <= n of 1/Lambda on a grid 0.25 apart, for
-    each n; used to check the o(n^delta) growth of the potential's sup."""
+    """Estimate of sup over |x| <= n of 1/Lambda on the grid -n + 0.25 k,
+    k = 0..8n, for each integer n; used to check the o(n^delta) growth of
+    the potential's sup.  The grid is built one chunk of k at a time, so
+    memory does not grow with n."""
     out = []
-    for n in sorted(n_list):
-        xs = np.arange(-float(n), float(n) + 0.125, 0.25)
+    for n in sorted(int(n) for n in n_list):
+        size = 8 * n + 1
         sup = 0.0
         chunk = 200_000
-        for start in range(0, len(xs), chunk):
-            sup = max(sup, float(np.max(env.lambda_inv_many(xs[start : start + chunk]))))
-        out.append((int(n), sup))
+        for start in range(0, size, chunk):
+            xs = -float(n) + 0.25 * np.arange(start, min(start + chunk, size))
+            sup = max(sup, float(np.max(env.lambda_inv_many(xs))))
+        out.append((n, sup))
     return out

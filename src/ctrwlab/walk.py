@@ -210,15 +210,18 @@ def simulate_skeleton(
     for when a walk reuses them; at most 3 (2**20 + 1) doubles, 25 MB),
     or, once a block does not fit, fresh arrays that copy the path so far
     with room for about as much again.  The running sums of the jumps,
-    1/Lambda and the clock are then taken ``PIECE`` entries at a time, each
-    sum carried from piece to piece, so they add in the same order as over
-    the whole block, and the walk stops at the piece that holds the
-    horizon.  So every path is views of one array set.
+    1/Lambda and the clock are then taken a piece at a time, each sum
+    carried from piece to piece, so they add in the same order as over the
+    whole block, and the walk stops at the piece that holds the horizon.
+    A piece is ``PIECE`` entries, and in an environment at most
+    1.1 t / (mu lambda_bar_inv), rounded up, so 1/Lambda is evaluated at
+    few sites past the horizon.  So every path is views of one array set.
     """
     check_positive_finite(horizon_t=horizon_t)
 
     mean_hold = wait.mu if env is None else wait.mu * env.lambda_bar_inv
     block = int(min(max(1024, 1.25 * horizon_t / mean_hold), 2**20))
+    piece = PIECE if env is None else min(PIECE, math.ceil(1.1 * horizon_t / mean_hold))
     sites, holds, clock = _work_arrays(block + 1)
     sites[0] = clock[0] = 0.0
     base = 0  # holds committed so far, held to JUMP_CAP
@@ -235,8 +238,8 @@ def simulate_skeleton(
         # plus its first k jumps; clock[base + k + 1] is that hold's end
         origin = sites[base]
         jumped = 0.0  # the sum of this block's jumps so far
-        for start in range(base, base + block, PIECE):
-            stop = min(start + PIECE, base + block)
+        for start in range(base, base + block, piece):
+            stop = min(start + piece, base + block)
             steps = sites[start + 1 : stop + 1]
             if start > base:
                 steps[0] += jumped

@@ -15,12 +15,10 @@ from ctrwlab.environment import (
     _exp_phi_integral,
     _quad,
     bump_kernel,
-    load_config,
     mean_lambda_inv_analytic,
     periodic_env,
     power_kernel,
     sample_config,
-    save_config,
     sup_growth_check,
     theorem5_constant,
 )
@@ -113,6 +111,18 @@ class TestKernel:
         assert np.all(k.phi(xs) == 0.0)
         assert np.all(k.phi(-xs) == 0.0)
 
+    def test_bump_kernel_matches_the_clip_form_bitwise(self):
+        amplitude = math.log(2.0)
+        edges = np.array([0.0, 1.0, math.nan, math.inf])
+        edges = np.concatenate(
+            [edges, np.nextafter(edges, -math.inf), np.nextafter(edges, math.inf)]
+        )
+        xs = np.concatenate(
+            [edges, -edges, spawn_rng(SEED, "bump-bits").uniform(-3.0, 3.0, 200_000)]
+        )
+        clipped = amplitude * np.clip(1.0 - np.abs(xs), 0.0, None) ** 2
+        assert bump_kernel(amplitude).phi(xs).tobytes() == clipped.tobytes()
+
 
 class TestPoissonConfig:
     def test_zero_length_window(self):
@@ -125,15 +135,17 @@ class TestPoissonConfig:
 
     def test_points_sorted_and_in_window(self):
         cfg = sample_config((-5.0, 5.0), spawn_rng(SEED, "sorted"))
-        assert np.all(np.diff(cfg.points) >= 0)
-        assert np.all((cfg.points >= -5.0) & (cfg.points <= 5.0))
+        pts = cfg.between(cfg.lo, cfg.hi)
+        assert np.all(np.diff(pts) >= 0)
+        assert np.all((pts >= -5.0) & (pts <= 5.0))
 
     def test_holds_a_sorted_copy_of_explicit_points(self):
         given = np.array([5.0, -5.0, 0.0])
         cfg = PoissonConfig(given, -10.0, 10.0)
         given[:] = 7.0
-        np.testing.assert_array_equal(cfg.points, [-5.0, 0.0, 5.0])
-        assert cfg.count == cfg.points.size == 3
+        pts = cfg.between(cfg.lo, cfg.hi)
+        np.testing.assert_array_equal(pts, [-5.0, 0.0, 5.0])
+        assert cfg.count == pts.size == 3
 
     @pytest.mark.parametrize(
         "points, lo, hi",
@@ -156,7 +168,7 @@ class TestPoissonConfig:
         left, right = [], []
         for _ in range(1000):
             cfg = sample_config((0.0, 2e4), rng)
-            left.append(np.searchsorted(cfg.points, 1e4))
+            left.append(np.searchsorted(cfg.between(cfg.lo, cfg.hi), 1e4))
             right.append(cfg.count - left[-1])
         corr = np.corrcoef(left, right)[0, 1]
         assert abs(corr) < 0.05
@@ -187,7 +199,8 @@ class TestPoissonConfig:
         # are Exp(1), and the positions within their cells U(0, width)
         stats = pytest.importorskip("scipy.stats")
         width = environment._CELL_WIDTH
-        pts = sample_config((-10 * width, 10 * width), spawn_rng(SEED, "seam")).points
+        cfg = sample_config((-10 * width, 10 * width), spawn_rng(SEED, "seam"))
+        pts = cfg.between(cfg.lo, cfg.hi)
         assert stats.kstest(np.diff(pts), "expon").pvalue > 0.01
         assert stats.kstest(np.mod(pts, width), "uniform", args=(0.0, width)).pvalue > 0.01
 
@@ -214,45 +227,11 @@ class TestPoissonConfig:
         assert lazy.count == eager.count
         # both draw one key from the generator and nothing more
         assert lazy_rng.bit_generator.state == eager_rng.bit_generator.state
-        pts = eager.points
+        pts = eager.between(eager.lo, eager.hi)
         for c, d in cuts:
             a, b = lo + width * min(c, d), lo + width * max(c, d)
             np.testing.assert_array_equal(lazy.between(a, b), pts[(a <= pts) & (pts <= b)])
-        np.testing.assert_array_equal(lazy.points, pts)
-
-    def test_save_load_round_trip(self, tmp_path):
-        cfg = sample_config((-3.0, 7.0), spawn_rng(SEED, "io"))
-        dest = tmp_path / "config.txt"
-        save_config(cfg, dest)
-        loaded = load_config(dest)
-        assert loaded.lo == cfg.lo and loaded.hi == cfg.hi
-        assert np.array_equal(loaded.points, cfg.points)
-
-    def test_load_sorts_unordered_points(self, tmp_path):
-        dest = tmp_path / "config.txt"
-        dest.write_text("# window -10 10\n6.2\n-5.2\n0.1\n5.5\n-4.9\n0.4\n")
-        loaded = load_config(dest)
-        assert np.array_equal(loaded.points, [-5.2, -4.9, 0.1, 0.4, 5.5, 6.2])
-        env = ShotNoiseEnv(kernel=bump_kernel(1.0), config=loaded)
-        # phi = (1 - |x - y|)^2 summed by hand: 0.8^2 + 0.9^2, 0.9^2 + 0.6^2,
-        # 0.7^2 + 0.6^2
-        assert env.potential_many(np.array([-5.0, 0.0, 5.8])) == pytest.approx(
-            [1.45, 1.17, 0.85], rel=1e-12
-        )
-
-    @pytest.mark.parametrize("point", ["10.5", "-11", "nan"])
-    def test_load_rejects_a_point_outside_the_window(self, tmp_path, point):
-        dest = tmp_path / "config.txt"
-        dest.write_text(f"# window -10 10\n0.1\n{point}\n")
-        with pytest.raises(DomainError, match="window"):
-            load_config(dest)
-
-    @pytest.mark.parametrize("bad", ["abc", "# window -10 ten"])
-    def test_load_names_a_malformed_line(self, tmp_path, bad):
-        dest = tmp_path / "config.txt"
-        dest.write_text(f"# window -10 10\n0.1\n\n{bad}\n")
-        with pytest.raises(DomainError, match="line 4"):
-            load_config(dest)
+        np.testing.assert_array_equal(lazy.between(lazy.lo, lazy.hi), pts)
 
 
 def potential(env: ShotNoiseEnv, x: float) -> float:
@@ -286,9 +265,8 @@ class TestPotential:
         env = ShotNoiseEnv(kernel=kernel, config=cfg)
         xs = np.linspace(-10.0, 10.0, 41)
         truncated = env.potential_many(xs)
-        full = np.array(
-            [float(np.sum(kernel.phi(x - cfg.points))) for x in xs]
-        )
+        pts = cfg.between(cfg.lo, cfg.hi)
+        full = np.array([float(np.sum(kernel.phi(x - pts))) for x in xs])
         assert np.all(truncated <= full + 1e-12)
         tail = 2.0 * kernel.bound_c * kernel.cutoff_r**-kernel.decay_beta / kernel.decay_beta
         assert np.max(full - truncated) < 5.0 * tail
@@ -357,7 +335,8 @@ class TestPotential:
 
     def test_fsum_oracle(self, batch_env):
         env, xs = batch_env
-        pts, r = env.config.points, env.kernel.cutoff_r
+        cfg, r = env.config, env.kernel.cutoff_r
+        pts = cfg.between(cfg.lo, cfg.hi)
         exact = np.array(
             [
                 math.fsum(env.kernel.phi(x - pts[(pts >= x - r) & (pts <= x + r)]))
@@ -585,6 +564,25 @@ class TestSupGrowth:
         cfg = PoissonConfig(np.array([]), -200.0, 200.0)
         env = ShotNoiseEnv(kernel=bump_kernel(), config=cfg)
         assert sup_growth_check(env, [10, 100]) == [(10, 1.0), (100, 1.0)]
+
+    def test_grid_built_by_chunks(self):
+        # the values of the whole-grid np.arange(-n, n + 0.125, 0.25) on
+        # this configuration; that grid holds 8e6 + 1 doubles, 61 MiB, at
+        # n = 1e6, more than the configuration and a chunk's scratch
+        cfg = sample_config((-1e6 - 2.0, 1e6 + 2.0), spawn_rng(SEED, "sup-grid"))
+        env = ShotNoiseEnv(kernel=bump_kernel(), config=cfg)
+        tracemalloc.start()
+        try:
+            sups = sup_growth_check(env, [10**6, 100, 1000])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sups == [
+            (100, 8.306735745114235),
+            (1000, 35.77497178105302),
+            (10**6, 71.50791137397378),
+        ]
+        assert peak < (8 * 10**6 + 1) * 8
 
     def test_sampled_config_subpolynomial_trend(self):
         # ratios sup / n^0.1 decrease over a decade list for a gentle kernel

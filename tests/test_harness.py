@@ -531,7 +531,9 @@ class TestRunExperiment:
         small, large = (t5_config(replicates=m) for m in (1000, 2000))
         inner, outer = default_config(small, 7), default_config(large, 7)
         assert outer.lo < inner.lo and inner.hi < outer.hi
-        np.testing.assert_array_equal(inner.points, outer.between(inner.lo, inner.hi))
+        np.testing.assert_array_equal(
+            inner.between(inner.lo, inner.hi), outer.between(inner.lo, inner.hi)
+        )
         assert quenched_constant(small, 7) == quenched_constant(large, 7)
 
     def test_span_widening_in_workers_keeps_reports_identical(self, monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ctrwlab import walk
 from ctrwlab.environment import (
     DeterministicEnv,
+    PoissonConfig,
     ShotNoiseEnv,
     bump_kernel,
     periodic_env,
@@ -462,9 +463,11 @@ def unit_env(true_mean: float, hint: float) -> DeterministicEnv:
     )
 
 
-# (jump, wait, t, env): one block in one piece, one block in many pieces, and
+# (jump, wait, t, env): one block in one piece, one block in many pieces,
 # paths through many blocks of one or many pieces, where a hint above the true
-# mean of 1/Lambda makes the blocks too short
+# mean of 1/Lambda makes the blocks too short, and a shot-noise walk through
+# several capped pieces, since with no points its 1/Lambda is 1 against a mean
+# of about 1.78
 SKELETON_CASES = {
     "one-piece": (SymmetricPareto(1.5), Exponential(1.0), 3000.0, None),
     "many-pieces": (SkewedPareto(1.5, 1.0, 0.8), Exponential(1.0), 1e5, periodic_env()),
@@ -473,6 +476,12 @@ SKELETON_CASES = {
         SkewedPareto(1.5, 1.0, 0.8), GammaWait(2.0, 0.5), 2e4, unit_env(0.1, 1.0)
     ),
     "lattice": (rademacher(), DeterministicWait(0.1), 1e4, None),
+    "shot-noise-capped": (
+        SymmetricPareto(1.5),
+        Exponential(1.0),
+        500.0,
+        ShotNoiseEnv(bump_kernel(math.log(2.0)), PoissonConfig([], -1e12, 1e12)),
+    ),
 }
 
 
@@ -509,6 +518,16 @@ class TestWorkArrays:
         )
         assert path.positions.tobytes() == positions.tobytes()
         assert path.holds.tobytes() == holds.tobytes()
+
+    def test_shot_noise_case_runs_past_its_first_capped_piece(self):
+        # the reference test's walks of this case
+        case = "shot-noise-capped"
+        jump, wait, t, env = SKELETON_CASES[case]
+        cap = math.ceil(1.1 * t / (wait.mu * env.lambda_bar_inv))
+        assert cap < walk.PIECE
+        for k in range(3):
+            path = simulate_skeleton(jump, wait, t, spawn_rng(SEED, "ref", case, k), env=env)
+            assert path.n_jumps + 1 > cap
 
     def test_a_live_path_is_never_overwritten(self):
         jump, wait, t, env = SKELETON_CASES["many-pieces"]

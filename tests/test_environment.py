@@ -584,6 +584,14 @@ class TestSupGrowth:
         ]
         assert peak < (8 * 10**6 + 1) * 8
 
+    @pytest.mark.parametrize("n", [10, 1000, 123457])
+    def test_chunked_grid_matches_the_whole_grid(self, n):
+        # 123457 gives 987,657 grid points: four whole chunks and a part
+        cfg = sample_config((-n - 2.0, n + 2.0), spawn_rng(SEED, "sup-chunks", n))
+        env = ShotNoiseEnv(kernel=bump_kernel(), config=cfg)
+        grid = np.arange(-n, n + 0.125, 0.25)
+        assert sup_growth_check(env, [n]) == [(n, float(np.max(env.lambda_inv_many(grid))))]
+
     def test_sampled_config_subpolynomial_trend(self):
         # ratios sup / n^0.1 decrease over a decade list for a gentle kernel
         wins = 0

@@ -60,15 +60,16 @@ from .walk import (
 
 THEOREMS = ("T2", "T2-lattice", "T3", "T5")
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 
 @dataclass(kw_only=True)
 class ExperimentConfig:
     """Everything needed to reproduce one comparison run.
 
-    The fields other than the five law sections of ``KINDS`` are the INI
-    ``[experiment]`` keys, with these defaults."""
+    ``jump``, ``wait``, ``functional`` and ``env`` are what the INI sections
+    of those names build, ``env`` being None, T3's ``DeterministicEnv`` or
+    T5's ``Kernel``; the rest are the ``[experiment]`` keys and defaults."""
 
     theorem: str = "T2"
     jump: JumpLaw
@@ -81,8 +82,7 @@ class ExperimentConfig:
     master_seed: int = 0
     ks_threshold: float = 0.08
     workers: int = 1
-    env: Optional[DeterministicEnv] = None
-    kernel: Optional[Kernel] = None
+    env: DeterministicEnv | Kernel | None = None
     env_window_halfwidth: Optional[float] = None
     # Quenched runs vary the walks while holding the configuration fixed:
     # the configuration stream defaults to the master seed but can be pinned.
@@ -126,10 +126,11 @@ class ExperimentConfig:
         if self.theorem in ("T3", "T5") and not self.jump.alpha_attr < 2.0:
             problems.append("environment theorems require alpha < 2 (normal attraction, "
                             "non-Gaussian)")
-        if (self.theorem == "T3") != (self.env is not None):
-            problems.append("T3, and only T3, takes a deterministic environment")
-        if (self.theorem == "T5") != (self.kernel is not None):
-            problems.append("T5, and only T5, takes a shot-noise kernel")
+        # the echo kind of env: T3 delays the walk by a fixed profile, T5 by a
+        # kernel's shot-noise potential
+        want = {"T3": "deterministic_env", "T5": "kernel"}.get(self.theorem, "none")
+        if (got := describe(self.env)["kind"]) != want:
+            problems.append(f"{self.theorem} takes env {want}, got {got}")
         for pair in self.fdd_pairs:
             if len(pair) != 2 or pair[0] >= pair[1] or not all(p in self.u_grid for p in pair):
                 problems.append(f"fdd pair {pair!r} must be an increasing pair from u_grid")
@@ -178,7 +179,7 @@ def _parse_pairs(text: str) -> tuple:
 # constructor's parameters (``kind_keys``).  For jump and wait laws those
 # are the dataclass fields, so ``describe`` reads a law back into the INI
 # section that builds it.  An INI ``[env] kind = shot_noise`` section
-# builds a ``kernel`` kind instead.
+# builds a ``kernel`` kind into the same ``env`` field.
 KINDS = {
     "jump": {
         "gaussian": Gaussian,
@@ -263,7 +264,7 @@ _KIND_SECTIONS = ("jump", "wait", "functional", "env")
 # The [experiment] keys and their defaults: every ExperimentConfig field but
 # the law sections.
 _EXPERIMENT_DEFAULTS = {
-    f.name: f.default for f in fields(ExperimentConfig) if f.name not in KINDS
+    f.name: f.default for f in fields(ExperimentConfig) if f.name not in _KIND_SECTIONS
 }
 
 
@@ -296,7 +297,7 @@ def load_experiment_config(path) -> tuple[ExperimentConfig, dict]:
         values = dict(parser[section]) if section in parser else {}
         kind = values.pop("kind", next(iter(KINDS[section])))
         if section == "env" and kind == "shot_noise":
-            built["kernel"] = build("kernel", values.pop("kernel", "bump"), values)
+            built[section] = build("kernel", values.pop("kernel", "bump"), values)
         else:
             built[section] = build(section, kind, values)
     outputs = dict(parser["output"]) if "output" in parser else {}
@@ -304,11 +305,11 @@ def load_experiment_config(path) -> tuple[ExperimentConfig, dict]:
 
 
 def describe(obj) -> dict:
-    """The config echo of one law, environment or kernel.
+    """The config echo of one law or of ``ExperimentConfig.env``.
 
     A jump or wait law reads back through the kind table, each value as its
-    INI key takes it.  Environments and kernels wrap callables, so they echo
-    a summary."""
+    INI key takes it.  An environment (T3's profile, T5's kernel) wraps
+    callables, so it echoes a summary."""
     if obj is None:
         return {"kind": "none"}
     if isinstance(obj, DeterministicEnv):
@@ -509,10 +510,8 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     sigma = cfg.jump.sigma_attr
     u_grid = tuple(float(u) for u in cfg.u_grid)
 
-    path_env = None
-    if cfg.theorem == "T3":
-        path_env = cfg.env
-    elif cfg.theorem == "T5":
+    path_env = cfg.env
+    if cfg.theorem == "T5":
         halfwidth = cfg.env_window_halfwidth
         if halfwidth is None:
             halfwidth = suggest_window_halfwidth(
@@ -520,14 +519,14 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
                 mu,
                 cfg.t,
                 cfg.replicates,
-                cfg.kernel.cutoff_r,
+                cfg.env.cutoff_r,
             )
         config_seed = (
             cfg.env_config_seed if cfg.env_config_seed is not None else cfg.master_seed
         )
         env_rng = spawn_rng(config_seed, "environment")
         path_env = ShotNoiseEnv(
-            kernel=cfg.kernel, config=sample_config((-halfwidth, halfwidth), env_rng)
+            kernel=cfg.env, config=sample_config((-halfwidth, halfwidth), env_rng)
         )
     # T3 and T5 share the constant mean(1/Lambda)^(1/alpha - 1); for T5 the
     # mean is over configurations, exp(integral of (e^phi - 1)).
@@ -602,7 +601,6 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         "jump": describe(cfg.jump),
         "wait": describe(cfg.wait),
         "env": describe(cfg.env),
-        "kernel": describe(cfg.kernel),
         "limit_method": "exact-regenerative",
         "env_window_points": path_env.config.count if cfg.theorem == "T5" else None,
     }

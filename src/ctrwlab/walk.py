@@ -213,15 +213,15 @@ def simulate_skeleton(
     1/Lambda and the clock are then taken a piece at a time, each sum
     carried from piece to piece, so they add in the same order as over the
     whole block, and the walk stops at the piece that holds the horizon.
-    A piece is ``PIECE`` entries, and in an environment at most
-    1.1 t / (mu lambda_bar_inv), rounded up, so 1/Lambda is evaluated at
-    few sites past the horizon.  So every path is views of one array set.
+    A piece is at most ``PIECE`` entries and 1.1 t / (mu lambda_bar_inv),
+    rounded up, so the walk handles few sites past the horizon.  So every
+    path is views of one array set.
     """
     check_positive_finite(horizon_t=horizon_t)
 
     mean_hold = wait.mu if env is None else wait.mu * env.lambda_bar_inv
     block = int(min(max(1024, 1.25 * horizon_t / mean_hold), 2**20))
-    piece = PIECE if env is None else min(PIECE, math.ceil(1.1 * horizon_t / mean_hold))
+    piece = min(PIECE, math.ceil(1.1 * horizon_t / mean_hold))
     sites, holds, clock = _work_arrays(block + 1)
     sites[0] = clock[0] = 0.0
     base = 0  # holds committed so far, held to JUMP_CAP

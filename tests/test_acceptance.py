@@ -225,7 +225,7 @@ def test_08_quenched_comparison():
         wait=Exponential(1.0),
         # leave f_integral unset: the limit takes the quenched integral of g/Lambda
         functional=FunctionalSpec(f=gauss_bump().f),
-        kernel=kernel,
+        env=kernel,
         t=1e4,
         replicates=2000,
         limit_replicates=2000,

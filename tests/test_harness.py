@@ -72,7 +72,7 @@ def small_config(**overrides):
 
 def t5_config(**overrides):
     return small_config(
-        theorem="T5", jump=SymmetricPareto(1.5), kernel=bump_kernel(), **overrides
+        theorem="T5", jump=SymmetricPareto(1.5), env=bump_kernel(), **overrides
     )
 
 
@@ -80,7 +80,7 @@ def default_config(cfg, config_seed):
     """The configuration a T5 run of ``cfg`` samples from ``config_seed``,
     in its default window."""
     halfwidth = suggest_window_halfwidth(
-        cfg.jump, cfg.wait.mu, cfg.t, cfg.replicates, cfg.kernel.cutoff_r
+        cfg.jump, cfg.wait.mu, cfg.t, cfg.replicates, cfg.env.cutoff_r
     )
     return sample_config((-halfwidth, halfwidth), spawn_rng(config_seed, "environment"))
 
@@ -88,7 +88,7 @@ def default_config(cfg, config_seed):
 def quenched_constant(cfg, config_seed):
     """integral of g/Lambda over ``default_config(cfg, config_seed)``."""
     config = default_config(cfg, config_seed)
-    return quenched_integral(cfg.functional.f, ShotNoiseEnv(kernel=cfg.kernel, config=config))
+    return quenched_integral(cfg.functional.f, ShotNoiseEnv(kernel=cfg.env, config=config))
 
 
 class TestKsTwoSample:
@@ -210,6 +210,21 @@ class TestWasserstein1:
         assert wasserstein1(a, b) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+# theorem x env: T3 takes a deterministic environment, T5 a kernel, and T2
+# and T2-lattice none.  The three valid pairings carry no message.
+ENV_CASES = {
+    f"{theorem}-env-{kind}": (
+        {"theorem": theorem, "env": env,
+         "jump": rademacher() if theorem == "T2-lattice" else SymmetricPareto(1.5)},
+        None if kind == want else f"{theorem} takes env {want}, got {kind}$",
+    )
+    for theorem, want in (("T2", "none"), ("T2-lattice", "none"),
+                          ("T3", "deterministic_env"), ("T5", "kernel"))
+    for env, kind in ((None, "none"), (periodic_env(), "deterministic_env"),
+                      (bump_kernel(), "kernel"))
+}
+
+
 class TestValidation:
     def test_too_few_replicates(self):
         with pytest.raises(ExperimentConfigError):
@@ -248,7 +263,7 @@ class TestValidation:
 
     def test_t5_requires_heavy_tail(self):
         with pytest.raises(ExperimentConfigError, match="alpha < 2"):
-            small_config(theorem="T5", kernel=bump_kernel()).validate()  # alpha=2
+            small_config(theorem="T5", env=bump_kernel()).validate()  # alpha=2
 
     def test_bad_u_grid(self):
         with pytest.raises(ExperimentConfigError):
@@ -299,16 +314,15 @@ class TestValidation:
             ({"t": math.inf}, "t must be positive and finite, got inf"),
             ({"env_window_halfwidth": math.inf},
              "env_window_halfwidth must be positive and finite, got inf"),
-            ({"env": periodic_env()}, "only T3"),
-            ({"kernel": bump_kernel()}, "only T5"),
-            ({"theorem": "T5", "kernel": bump_kernel(), "env": periodic_env()}, "only T3"),
-            ({"theorem": "T3", "env": periodic_env(), "kernel": bump_kernel()}, "only T5"),
+            *ENV_CASES.values(),
         ],
-        ids=["u-nan", "t-nan", "t-inf", "window-inf", "env-on-T2", "kernel-on-T2",
-             "env-on-T5", "kernel-on-T3"],
+        ids=["u-nan", "t-nan", "t-inf", "window-inf", *ENV_CASES],
     )
     def test_values_a_run_cannot_honour_rejected(self, overrides, message):
-        cfg = small_config(jump=SymmetricPareto(1.5), **overrides)
+        cfg = small_config(**{"jump": SymmetricPareto(1.5), **overrides})
+        if message is None:  # a valid theorem x env pairing
+            cfg.validate()
+            return
         with pytest.raises(ExperimentConfigError, match=message):
             cfg.validate()
 
@@ -433,11 +447,11 @@ class TestRunExperiment:
     @pytest.mark.parametrize("theorem", ["T2", "T3", "T5"])
     def test_unresolvable_functional_raises(self, theorem):
         # the spike of indicator_zero is narrower than any node spacing
+        env = {"T3": periodic_env(2.0, 1.0, 1.0), "T5": bump_kernel(math.log(2.0))}.get(theorem)
         cfg = small_config(
             theorem=theorem,
             jump=SymmetricPareto(1.5),
-            env=periodic_env(2.0, 1.0, 1.0) if theorem == "T3" else None,
-            kernel=bump_kernel(math.log(2.0)) if theorem == "T5" else None,
+            env=env,
             functional=build("functional", "indicator_zero"),
         )
         with pytest.raises(QuadratureError):
@@ -448,7 +462,7 @@ class TestRunExperiment:
             theorem="T5",
             jump=SymmetricPareto(1.5),
             functional=FunctionalSpec(f=lambda x: np.exp(-(x**2))),
-            kernel=bump_kernel(math.log(2.0)),
+            env=bump_kernel(math.log(2.0)),
             t=1000.0,
             replicates=120,
             limit_replicates=120,
@@ -487,7 +501,7 @@ class TestRunExperiment:
             theorem="T5",
             jump=SymmetricPareto(1.5),
             functional=FunctionalSpec(f=lambda x: np.exp(-(x**2))),
-            kernel=bump_kernel(math.log(2.0)),
+            env=bump_kernel(math.log(2.0)),
             t=1000.0,
             replicates=120,
             limit_replicates=120,
@@ -511,7 +525,7 @@ class TestRunExperiment:
             theorem="T5",
             jump=SymmetricPareto(1.5),
             functional=FunctionalSpec(f=lambda x: np.exp(-(x**2))),
-            kernel=bump_kernel(math.log(2.0)),
+            env=bump_kernel(math.log(2.0)),
             ks_threshold=1.0,
             env_config_seed=991,
         )
@@ -611,13 +625,26 @@ class TestReports:
         emit_report(report, dest, "json")
         parsed = json.loads(dest.read_text())
         assert parsed == report.to_dict()
-        assert parsed["schema_version"] == "3"
+        assert parsed["schema_version"] == "4"
 
-    def test_config_lives_only_in_the_echo(self):
-        report = run_experiment(small_config()).to_dict()
-        keys = {f.name for f in fields(ExperimentConfig)} - set(KINDS)
+    @pytest.mark.parametrize(
+        "theorem, env, kind",
+        [("T2", None, "none"), ("T3", periodic_env(), "deterministic_env"),
+         ("T5", bump_kernel(), "kernel")],
+    )
+    def test_config_lives_only_in_the_echo(self, theorem, env, kind):
+        cfg = small_config(theorem=theorem, jump=SymmetricPareto(1.5), env=env, ks_threshold=1.0)
+        report = run_experiment(cfg).to_dict()
+        names = {f.name for f in fields(ExperimentConfig)}
+        # one field per law section the loader reads, and no other law field
+        assert names & set(KINDS) == set(harness._KIND_SECTIONS)
+        keys = names - set(harness._KIND_SECTIONS)
         assert not keys & set(report)
-        assert keys - {"workers"} <= set(report["config_echo"])
+        echo = report["config_echo"]
+        assert keys - {"workers"} <= set(echo)
+        # the environment echoes once, under env
+        assert echo["env"] == describe(env) and echo["env"]["kind"] == kind
+        assert "kernel" not in echo
 
     def test_csv_row_count(self, tmp_path):
         report = run_experiment(small_config())
